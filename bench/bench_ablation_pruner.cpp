@@ -15,7 +15,7 @@
 
 using namespace con;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   bench::BenchSetup setup = bench::parse_common(flags);
   flags.check_unused();
@@ -68,4 +68,8 @@ int main(int argc, char** argv) {
                      "fine-tuning budgets");
   bench::finish_run(setup, "bench_ablation_pruner");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run);
 }

@@ -16,7 +16,7 @@
 
 using namespace con;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   bench::BenchSetup setup = bench::parse_common(flags);
   flags.check_unused();
@@ -88,4 +88,8 @@ int main(int argc, char** argv) {
                   std::max(1e-9, 1.0 - robust_rep.fooling_rate));
   bench::finish_run(setup, "bench_adv_training");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run);
 }

@@ -162,7 +162,7 @@ BENCHMARK_CAPTURE(BM_Ifgm, cifarnet, std::string("cifarnet"))
 // Custom main instead of BENCHMARK_MAIN(): the obs flags (--trace,
 // --manifest, --no-metrics) must be stripped from argv before
 // benchmark::Initialize rejects them as unknown.
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   con::bench::BenchSetup setup = con::bench::strip_obs_flags(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
@@ -170,4 +170,8 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   con::bench::finish_run(setup, "bench_attacks");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return con::bench::run_main(argc, argv, run);
 }

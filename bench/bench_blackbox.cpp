@@ -22,7 +22,7 @@
 
 using namespace con;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   bench::BenchSetup setup = bench::parse_common(flags);
   const int nes_probes = static_cast<int>(flags.get_int("nes-probes", 20));
@@ -95,4 +95,8 @@ int main(int argc, char** argv) {
                      "gradient-free NES attack degrades accuracy");
   bench::finish_run(setup, "bench_blackbox");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run);
 }

@@ -73,9 +73,9 @@ inline void start_telemetry(BenchSetup& setup) {
 
 // Parse only the observability flags (--trace <path>, --manifest,
 // --no-metrics, --telemetry <path>, --telemetry-interval <ms>,
-// --stats-socket <path>) plus --kernel <scalar|avx2|neon> — the subset
-// shared by every binary, including the examples and google-benchmark
-// runners that do not take the study sizing flags.
+// --stats-socket <path>) — the subset shared by every binary, including
+// the examples and google-benchmark runners that do not take the study
+// sizing flags.
 inline BenchSetup parse_obs_flags(util::CliFlags& flags) {
   BenchSetup setup;
   setup.trace_path = flags.get_string("trace", "");
@@ -95,13 +95,6 @@ inline BenchSetup parse_obs_flags(util::CliFlags& flags) {
         "--telemetry-interval: meaningless without --telemetry <path>");
   }
   setup.stats_socket_path = flags.get_string("stats-socket", "");
-  // --kernel forces the micro-kernel ISA (overriding $CON_KERNEL); a typo
-  // throws here, while an ISA this host cannot run warns and falls back to
-  // scalar inside set_isa (the graceful-fallback contract).
-  const std::string kernel = flags.get_string("kernel", "");
-  if (!kernel.empty()) {
-    tensor::kernels::set_isa(tensor::kernels::parse_isa(kernel));
-  }
   if (!setup.trace_path.empty()) obs::set_tracing(true);
   obs::set_thread_name("main");
   start_telemetry(setup);
@@ -198,9 +191,10 @@ inline void finish_run(BenchSetup& setup, const std::string& name) {
   setup.run.name = name;
   setup.run.wall_time_s = setup.run_timer.seconds();
   setup.run.threads = util::ThreadPool::global().size();
-  // Which micro-kernel ISA served this run. Recorded unconditionally (and
-  // required by tools/obs_validate): a perf number without its kernel ISA
-  // is not reproducible.
+  // Which micro-kernel ISA served this run. Observational only — every
+  // table gives the same bits — but recorded unconditionally (and required
+  // by tools/obs_validate): a perf number without its kernel ISA is not
+  // comparable.
   setup.run.config.emplace_back(
       "kernel_isa", obs::Json(std::string(tensor::kernels::isa_name(
                         tensor::kernels::active_isa()))));
@@ -246,19 +240,17 @@ inline void finish_run(BenchSetup& setup, const std::string& name) {
 }
 
 // For google-benchmark binaries: pull the obs flags (--trace, --manifest,
-// --no-metrics, --kernel, --telemetry, --telemetry-interval,
-// --stats-socket; value flags accept both `--flag value` and
-// `--flag=value`) out of argv before benchmark::Initialize rejects them as
-// unknown, and apply them. Returns a BenchSetup carrying only the
-// observability state; pair with finish_run() after
-// benchmark::RunSpecifiedBenchmarks().
+// --no-metrics, --telemetry, --telemetry-interval, --stats-socket; value
+// flags accept both `--flag value` and `--flag=value`) out of argv before
+// benchmark::Initialize rejects them as unknown, and apply them. Returns a
+// BenchSetup carrying only the observability state; pair with finish_run()
+// after benchmark::RunSpecifiedBenchmarks().
 //
 // Malformed obs flags exit(2) with the offending flag named: anything that
 // fell through to google-benchmark used to die as a generic "unrecognized
 // command-line flag", which pointed at the wrong parser.
 inline BenchSetup strip_obs_flags(int& argc, char** argv) {
   BenchSetup setup;
-  std::string kernel;
   std::string interval_text;
 
   const auto fail = [](const std::string& flag, const std::string& why) {
@@ -290,7 +282,6 @@ inline BenchSetup strip_obs_flags(int& argc, char** argv) {
     } else if (arg == "--no-metrics") {
       obs::set_metrics(false);
     } else if (value_flag(arg, "--trace", i, &setup.trace_path) ||
-               value_flag(arg, "--kernel", i, &kernel) ||
                value_flag(arg, "--telemetry-interval", i, &interval_text) ||
                value_flag(arg, "--telemetry", i, &setup.telemetry_path) ||
                value_flag(arg, "--stats-socket", i,
@@ -317,9 +308,6 @@ inline BenchSetup strip_obs_flags(int& argc, char** argv) {
       fail("--telemetry-interval", "meaningless without --telemetry <path>");
     }
     setup.telemetry_interval_ms = static_cast<int>(v);
-  }
-  if (!kernel.empty()) {
-    tensor::kernels::set_isa(tensor::kernels::parse_isa(kernel));
   }
   argc = out;
   if (!setup.trace_path.empty()) obs::set_tracing(true);
@@ -350,6 +338,22 @@ inline void emit_table(const util::Table& table, const std::string& name,
   const std::string path = io::artifacts_dir() + "/" + name + ".csv";
   table.write_csv(path);
   std::printf("(series written to %s)\n", path.c_str());
+}
+
+// The `main` of every bench and example: runs `body` and turns an escaping
+// exception into an exit code instead of std::terminate. A usage error
+// (std::invalid_argument — an unknown flag, a malformed value) prints
+// `error: <message>` and exits 2; any other std::exception exits 1.
+inline int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }
 
 // Print a qualitative shape-check line: the reproduction target is trend

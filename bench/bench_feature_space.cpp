@@ -17,7 +17,7 @@
 
 using namespace con;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   bench::BenchSetup setup = bench::parse_common(flags);
   flags.check_unused();
@@ -74,4 +74,8 @@ int main(int argc, char** argv) {
                      "heavier pruning diverges the feature space");
   bench::finish_run(setup, "bench_feature_space");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run);
 }

@@ -90,7 +90,7 @@ void run_panel(core::Study& study, attacks::AttackKind attack,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   bench::BenchSetup setup = bench::parse_common(flags);
   const bool both = flags.get_bool("both-networks", false);
@@ -129,4 +129,8 @@ int main(int argc, char** argv) {
   }
   bench::finish_run(setup, "bench_fig2_pruning");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run);
 }

@@ -16,7 +16,7 @@
 
 using namespace con;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   bench::BenchSetup setup = bench::parse_common(flags);
   flags.check_unused();
@@ -86,4 +86,8 @@ int main(int argc, char** argv) {
   }
   bench::finish_run(setup, "bench_fig3_epsilon");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run);
 }

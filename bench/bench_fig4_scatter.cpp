@@ -15,7 +15,7 @@
 
 using namespace con;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   bench::BenchSetup setup = bench::parse_common(flags, "cifarnet-small");
   flags.check_unused();
@@ -64,4 +64,8 @@ int main(int argc, char** argv) {
   }
   bench::finish_run(setup, "bench_fig4_scatter");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run);
 }

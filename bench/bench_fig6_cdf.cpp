@@ -28,7 +28,7 @@ std::vector<int> parse_bits(const std::string& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   bench::BenchSetup setup = bench::parse_common(flags, "cifarnet-small");
   const std::vector<int> bitwidths =
@@ -122,4 +122,8 @@ int main(int argc, char** argv) {
   }
   bench::finish_run(setup, "bench_fig6_cdf");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run);
 }

@@ -99,7 +99,25 @@ void BM_GemmNnScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmNnScalar)->Arg(0)->Arg(1)->Arg(2);
 
-void BM_GemmNnBlocked(benchmark::State& state) {
+// Every series that goes through the kernel table runs on a forced table:
+// unsuffixed series on scalar (the table their committed rows recorded),
+// *Avx2 series on AVX2. Both tables give the same bits, and the blocked
+// structure, packing and zero-skip lists are identical, so each pair
+// measures only the micro-kernels. Skips (with an explanatory error string,
+// so the JSON records why) on hosts that cannot execute the ISA.
+using tensor::kernels::Isa;
+
+bool force_isa_or_skip(benchmark::State& state, Isa isa) {
+  if (!tensor::kernels::isa_supported(isa)) {
+    state.SkipWithError("ISA not supported on this host/build");
+    return false;
+  }
+  return true;
+}
+
+void gemm_nn_blocked(benchmark::State& state, Isa isa) {
+  if (!force_isa_or_skip(state, isa)) return;
+  tensor::kernels::ScopedIsa scoped(isa);
   const GemmShape s = gemm_shape_for(static_cast<int>(state.range(0)));
   Tensor a = random_tensor({s.m, s.k}, 20);
   Tensor b = random_tensor({s.k, s.n}, 21);
@@ -110,47 +128,16 @@ void BM_GemmNnBlocked(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * s.m * s.k * s.n);
 }
+
+void BM_GemmNnBlocked(benchmark::State& state) {
+  gemm_nn_blocked(state, Isa::kScalar);
+}
 BENCHMARK(BM_GemmNnBlocked)->Arg(0)->Arg(1)->Arg(2);
 
-// Forces a SIMD kernel table for the duration of the benchmark; skips (with
-// an explanatory error string, so the JSON records why) on hosts that
-// cannot execute the ISA. The blocked structure, packing and zero-skip
-// lists are identical to the scalar run — only the micro-kernel changes.
-bool force_isa_or_skip(benchmark::State& state, tensor::kernels::Isa isa) {
-  if (!tensor::kernels::isa_supported(isa)) {
-    state.SkipWithError("ISA not supported on this host/build");
-    return false;
-  }
-  return true;
-}
-
 void BM_GemmNnBlockedAvx2(benchmark::State& state) {
-  if (!force_isa_or_skip(state, tensor::kernels::Isa::kAvx2)) return;
-  tensor::kernels::ScopedIsa scoped(tensor::kernels::Isa::kAvx2);
-  const GemmShape s = gemm_shape_for(static_cast<int>(state.range(0)));
-  Tensor a = random_tensor({s.m, s.k}, 20);
-  Tensor b = random_tensor({s.k, s.n}, 21);
-  const auto pa = tensor::gemm::pack_rowmajor(a, tensor::gemm::kStripA);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::gemm::matmul_nn(pa, b));
-  }
-  state.SetItemsProcessed(state.iterations() * s.m * s.k * s.n);
+  gemm_nn_blocked(state, Isa::kAvx2);
 }
 BENCHMARK(BM_GemmNnBlockedAvx2)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_GemmNnBlockedNeon(benchmark::State& state) {
-  if (!force_isa_or_skip(state, tensor::kernels::Isa::kNeon)) return;
-  tensor::kernels::ScopedIsa scoped(tensor::kernels::Isa::kNeon);
-  const GemmShape s = gemm_shape_for(static_cast<int>(state.range(0)));
-  Tensor a = random_tensor({s.m, s.k}, 20);
-  Tensor b = random_tensor({s.k, s.n}, 21);
-  const auto pa = tensor::gemm::pack_rowmajor(a, tensor::gemm::kStripA);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::gemm::matmul_nn(pa, b));
-  }
-  state.SetItemsProcessed(state.iterations() * s.m * s.k * s.n);
-}
-BENCHMARK(BM_GemmNnBlockedNeon)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_GemmNnSparseScalar(benchmark::State& state) {
   const GemmShape s = gemm_shape_for(static_cast<int>(state.range(0)));
@@ -166,7 +153,10 @@ void BM_GemmNnSparseScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmNnSparseScalar)->Arg(0)->Arg(2);
 
-void BM_GemmNnSparseBlocked(benchmark::State& state) {
+// 90% pruned A takes the sparse row-axpy path.
+void gemm_nn_sparse_blocked(benchmark::State& state, Isa isa) {
+  if (!force_isa_or_skip(state, isa)) return;
+  tensor::kernels::ScopedIsa scoped(isa);
   const GemmShape s = gemm_shape_for(static_cast<int>(state.range(0)));
   Tensor a = random_tensor({s.m, s.k}, 22);
   util::Rng rng(23);
@@ -179,23 +169,14 @@ void BM_GemmNnSparseBlocked(benchmark::State& state) {
     benchmark::DoNotOptimize(tensor::gemm::matmul_nn(pa, b));
   }
 }
+
+void BM_GemmNnSparseBlocked(benchmark::State& state) {
+  gemm_nn_sparse_blocked(state, Isa::kScalar);
+}
 BENCHMARK(BM_GemmNnSparseBlocked)->Arg(0)->Arg(2);
 
 void BM_GemmNnSparseBlockedAvx2(benchmark::State& state) {
-  // 90% pruned A takes the sparse row-axpy path through the AVX2 table.
-  if (!force_isa_or_skip(state, tensor::kernels::Isa::kAvx2)) return;
-  tensor::kernels::ScopedIsa scoped(tensor::kernels::Isa::kAvx2);
-  const GemmShape s = gemm_shape_for(static_cast<int>(state.range(0)));
-  Tensor a = random_tensor({s.m, s.k}, 22);
-  util::Rng rng(23);
-  for (float& v : a.flat()) {
-    if (rng.uniform() < 0.9) v = 0.0f;
-  }
-  Tensor b = random_tensor({s.k, s.n}, 24);
-  const auto pa = tensor::gemm::pack_rowmajor(a, tensor::gemm::kStripA);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::gemm::matmul_nn(pa, b));
-  }
+  gemm_nn_sparse_blocked(state, Isa::kAvx2);
 }
 BENCHMARK(BM_GemmNnSparseBlockedAvx2)->Arg(0)->Arg(2);
 
@@ -210,7 +191,9 @@ void BM_GemmNtScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmNtScalar);
 
-void BM_GemmNtBlocked(benchmark::State& state) {
+void gemm_nt_blocked(benchmark::State& state, Isa isa) {
+  if (!force_isa_or_skip(state, isa)) return;
+  tensor::kernels::ScopedIsa scoped(isa);
   Tensor x = random_tensor({32, 800}, 25);
   Tensor w = random_tensor({500, 800}, 26);
   const auto pw = tensor::gemm::pack_rowmajor(w, tensor::gemm::kStripB);
@@ -219,18 +202,14 @@ void BM_GemmNtBlocked(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 32 * 800 * 500);
 }
+
+void BM_GemmNtBlocked(benchmark::State& state) {
+  gemm_nt_blocked(state, Isa::kScalar);
+}
 BENCHMARK(BM_GemmNtBlocked);
 
 void BM_GemmNtBlockedAvx2(benchmark::State& state) {
-  if (!force_isa_or_skip(state, tensor::kernels::Isa::kAvx2)) return;
-  tensor::kernels::ScopedIsa scoped(tensor::kernels::Isa::kAvx2);
-  Tensor x = random_tensor({32, 800}, 25);
-  Tensor w = random_tensor({500, 800}, 26);
-  const auto pw = tensor::gemm::pack_rowmajor(w, tensor::gemm::kStripB);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::gemm::matmul_nt(x, pw));
-  }
-  state.SetItemsProcessed(state.iterations() * 32 * 800 * 500);
+  gemm_nt_blocked(state, Isa::kAvx2);
 }
 BENCHMARK(BM_GemmNtBlockedAvx2);
 
@@ -245,7 +224,9 @@ void BM_GemmTnScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmTnScalar);
 
-void BM_GemmTnBlocked(benchmark::State& state) {
+void gemm_tn_blocked(benchmark::State& state, Isa isa) {
+  if (!force_isa_or_skip(state, isa)) return;
+  tensor::kernels::ScopedIsa scoped(isa);
   Tensor w = random_tensor({32, 288}, 27);
   Tensor go = random_tensor({32, 8192}, 28);
   const auto pw = tensor::gemm::pack_colmajor(w, tensor::gemm::kStripA);
@@ -254,18 +235,14 @@ void BM_GemmTnBlocked(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 288 * 32 * 8192);
 }
+
+void BM_GemmTnBlocked(benchmark::State& state) {
+  gemm_tn_blocked(state, Isa::kScalar);
+}
 BENCHMARK(BM_GemmTnBlocked);
 
 void BM_GemmTnBlockedAvx2(benchmark::State& state) {
-  if (!force_isa_or_skip(state, tensor::kernels::Isa::kAvx2)) return;
-  tensor::kernels::ScopedIsa scoped(tensor::kernels::Isa::kAvx2);
-  Tensor w = random_tensor({32, 288}, 27);
-  Tensor go = random_tensor({32, 8192}, 28);
-  const auto pw = tensor::gemm::pack_colmajor(w, tensor::gemm::kStripA);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::gemm::matmul_tn(pw, go));
-  }
-  state.SetItemsProcessed(state.iterations() * 288 * 32 * 8192);
+  gemm_tn_blocked(state, Isa::kAvx2);
 }
 BENCHMARK(BM_GemmTnBlockedAvx2);
 
@@ -319,16 +296,20 @@ Tensor conv_input() {
   return random_tensor({kConvBatch, kConvC, kConvHw, kConvHw}, 34);
 }
 
-void run_int8_forward(benchmark::State& state, nn::Sequential& model,
+void run_int8_forward(benchmark::State& state, Isa isa, nn::Sequential model,
                       const Tensor& x, std::int64_t macs) {
+  if (!force_isa_or_skip(state, isa)) return;
+  tensor::kernels::ScopedIsa scoped(isa);
   for (auto _ : state) {
     benchmark::DoNotOptimize(compress::integer_forward(model, x));
   }
   state.SetItemsProcessed(state.iterations() * macs);
 }
 
-void run_float_forward(benchmark::State& state, nn::Sequential& model,
+void run_float_forward(benchmark::State& state, Isa isa, nn::Sequential model,
                        const Tensor& x, std::int64_t macs) {
+  if (!force_isa_or_skip(state, isa)) return;
+  tensor::kernels::ScopedIsa scoped(isa);
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.forward(x, false));
   }
@@ -341,34 +322,26 @@ constexpr std::int64_t kConvMacs = static_cast<std::int64_t>(kConvBatch) *
                                    kConvC * kConvHw * kConvHw * kConvC * 9;
 
 void BM_Int8FcForward(benchmark::State& state) {
-  nn::Sequential m = quantized_fc_model();
-  const Tensor x = fc_input();
-  run_int8_forward(state, m, x, kFcMacs);
+  run_int8_forward(state, Isa::kScalar, quantized_fc_model(), fc_input(),
+                   kFcMacs);
 }
 BENCHMARK(BM_Int8FcForward);
 
 void BM_Int8FcForwardAvx2(benchmark::State& state) {
-  if (!force_isa_or_skip(state, tensor::kernels::Isa::kAvx2)) return;
-  tensor::kernels::ScopedIsa scoped(tensor::kernels::Isa::kAvx2);
-  nn::Sequential m = quantized_fc_model();
-  const Tensor x = fc_input();
-  run_int8_forward(state, m, x, kFcMacs);
+  run_int8_forward(state, Isa::kAvx2, quantized_fc_model(), fc_input(),
+                   kFcMacs);
 }
 BENCHMARK(BM_Int8FcForwardAvx2);
 
 void BM_FakeQuantFcForward(benchmark::State& state) {
-  nn::Sequential m = quantized_fc_model();
-  const Tensor x = fc_input();
-  run_float_forward(state, m, x, kFcMacs);
+  run_float_forward(state, Isa::kScalar, quantized_fc_model(), fc_input(),
+                    kFcMacs);
 }
 BENCHMARK(BM_FakeQuantFcForward);
 
 void BM_FakeQuantFcForwardAvx2(benchmark::State& state) {
-  if (!force_isa_or_skip(state, tensor::kernels::Isa::kAvx2)) return;
-  tensor::kernels::ScopedIsa scoped(tensor::kernels::Isa::kAvx2);
-  nn::Sequential m = quantized_fc_model();
-  const Tensor x = fc_input();
-  run_float_forward(state, m, x, kFcMacs);
+  run_float_forward(state, Isa::kAvx2, quantized_fc_model(), fc_input(),
+                    kFcMacs);
 }
 BENCHMARK(BM_FakeQuantFcForwardAvx2);
 
@@ -389,41 +362,36 @@ void BM_FakeQuantFcReference(benchmark::State& state) {
 BENCHMARK(BM_FakeQuantFcReference);
 
 void BM_Int8ConvForward(benchmark::State& state) {
-  nn::Sequential m = quantized_conv_model();
-  const Tensor x = conv_input();
-  run_int8_forward(state, m, x, kConvMacs);
+  run_int8_forward(state, Isa::kScalar, quantized_conv_model(), conv_input(),
+                   kConvMacs);
 }
 BENCHMARK(BM_Int8ConvForward);
 
 void BM_Int8ConvForwardAvx2(benchmark::State& state) {
-  if (!force_isa_or_skip(state, tensor::kernels::Isa::kAvx2)) return;
-  tensor::kernels::ScopedIsa scoped(tensor::kernels::Isa::kAvx2);
-  nn::Sequential m = quantized_conv_model();
-  const Tensor x = conv_input();
-  run_int8_forward(state, m, x, kConvMacs);
+  run_int8_forward(state, Isa::kAvx2, quantized_conv_model(), conv_input(),
+                   kConvMacs);
 }
 BENCHMARK(BM_Int8ConvForwardAvx2);
 
 void BM_FakeQuantConvForward(benchmark::State& state) {
-  nn::Sequential m = quantized_conv_model();
-  const Tensor x = conv_input();
-  run_float_forward(state, m, x, kConvMacs);
+  run_float_forward(state, Isa::kScalar, quantized_conv_model(), conv_input(),
+                    kConvMacs);
 }
 BENCHMARK(BM_FakeQuantConvForward);
 
 void BM_FakeQuantConvForwardAvx2(benchmark::State& state) {
-  if (!force_isa_or_skip(state, tensor::kernels::Isa::kAvx2)) return;
-  tensor::kernels::ScopedIsa scoped(tensor::kernels::Isa::kAvx2);
-  nn::Sequential m = quantized_conv_model();
-  const Tensor x = conv_input();
-  run_float_forward(state, m, x, kConvMacs);
+  run_float_forward(state, Isa::kAvx2, quantized_conv_model(), conv_input(),
+                    kConvMacs);
 }
 BENCHMARK(BM_FakeQuantConvForwardAvx2);
 
 // Raw int8 GEMM throughput at the float GEMM shapes, for kernel-level
 // comparison with BM_GemmNnBlocked* (same strips, int16/int8 panels, int32
 // accumulators).
-void run_int8_gemm(benchmark::State& state, const GemmShape& s) {
+void run_int8_gemm(benchmark::State& state, Isa isa) {
+  if (!force_isa_or_skip(state, isa)) return;
+  tensor::kernels::ScopedIsa scoped(isa);
+  const GemmShape s = gemm_shape_for(static_cast<int>(state.range(0)));
   util::Rng rng(37);
   std::vector<std::int8_t> acodes(static_cast<std::size_t>(s.m * s.k));
   std::vector<std::int8_t> bcodes(static_cast<std::size_t>(s.k * s.n));
@@ -444,23 +412,14 @@ void run_int8_gemm(benchmark::State& state, const GemmShape& s) {
 }
 
 void BM_Int8Gemm(benchmark::State& state) {
-  run_int8_gemm(state, gemm_shape_for(static_cast<int>(state.range(0))));
+  run_int8_gemm(state, Isa::kScalar);
 }
 BENCHMARK(BM_Int8Gemm)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_Int8GemmAvx2(benchmark::State& state) {
-  if (!force_isa_or_skip(state, tensor::kernels::Isa::kAvx2)) return;
-  tensor::kernels::ScopedIsa scoped(tensor::kernels::Isa::kAvx2);
-  run_int8_gemm(state, gemm_shape_for(static_cast<int>(state.range(0))));
+  run_int8_gemm(state, Isa::kAvx2);
 }
 BENCHMARK(BM_Int8GemmAvx2)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_Int8GemmNeon(benchmark::State& state) {
-  if (!force_isa_or_skip(state, tensor::kernels::Isa::kNeon)) return;
-  tensor::kernels::ScopedIsa scoped(tensor::kernels::Isa::kNeon);
-  run_int8_gemm(state, gemm_shape_for(static_cast<int>(state.range(0))));
-}
-BENCHMARK(BM_Int8GemmNeon)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_Im2col(benchmark::State& state) {
   Tensor img = random_tensor({3, 32, 32}, 6);
@@ -551,7 +510,7 @@ BENCHMARK(BM_DeepFoolSingle);
 // Custom main instead of BENCHMARK_MAIN(): the obs flags (--trace,
 // --manifest, --no-metrics) must be stripped from argv before
 // benchmark::Initialize rejects them as unknown.
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   con::bench::BenchSetup setup = con::bench::strip_obs_flags(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
@@ -559,4 +518,8 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   con::bench::finish_run(setup, "bench_micro_ops");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return con::bench::run_main(argc, argv, run);
 }

@@ -10,7 +10,7 @@
 
 using namespace con;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   bench::BenchSetup setup = bench::parse_common(flags);
   flags.check_unused();
@@ -64,4 +64,8 @@ int main(int argc, char** argv) {
                      "5% single-layer density is worse than 50%");
   bench::finish_run(setup, "bench_sensitivity");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run);
 }

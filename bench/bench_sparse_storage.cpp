@@ -17,7 +17,7 @@
 
 using namespace con;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   bench::BenchSetup setup = bench::parse_common(flags);
   flags.check_unused();
@@ -84,4 +84,8 @@ int main(int argc, char** argv) {
       "so\nthe sparse speedup understates a dense-blind baseline.\n");
   bench::finish_run(setup, "bench_sparse_storage");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run);
 }

@@ -23,7 +23,7 @@ void require(bool cond, const char* what) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   bench::BenchSetup setup = bench::parse_obs_flags(flags);
   flags.check_unused();
@@ -71,4 +71,8 @@ int main(int argc, char** argv) {
   std::printf("all Table 1 values verified against the paper\n");
   bench::finish_run(setup, "bench_table1_params");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run);
 }

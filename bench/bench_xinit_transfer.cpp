@@ -13,7 +13,7 @@
 
 using namespace con;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   bench::BenchSetup setup = bench::parse_common(flags);
   const bool both = flags.get_bool("both-networks", true);
@@ -61,4 +61,8 @@ int main(int argc, char** argv) {
   }
   bench::finish_run(setup, "bench_xinit_transfer");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run);
 }

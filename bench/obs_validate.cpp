@@ -85,7 +85,7 @@ void validate_trace(const std::string& path) {
 }
 
 // Sum of a counter family, tolerating absent members (a scalar-only run
-// has no avx2/neon dispatch counts).
+// has no avx2 dispatch counts, an AVX2 run no scalar ones).
 std::int64_t counter_or_zero(const Json& counters, const char* key) {
   const Json* c = counters.find(key);
   return c == nullptr ? 0 : c->as_int();
@@ -94,8 +94,7 @@ std::int64_t counter_or_zero(const Json& counters, const char* key) {
 void validate_integer_path(const Json& counters) {
   const std::int64_t dispatched =
       counter_or_zero(counters, "gemm.dispatch.int8.scalar") +
-      counter_or_zero(counters, "gemm.dispatch.int8.avx2") +
-      counter_or_zero(counters, "gemm.dispatch.int8.neon");
+      counter_or_zero(counters, "gemm.dispatch.int8.avx2");
   require(dispatched > 0,
           "no gemm.dispatch.int8.* counts — the run never entered an int8 "
           "GEMM");
@@ -119,14 +118,15 @@ void validate_manifest(const std::string& path, bool expect_store_hits_only,
   require(doc.find("threads")->as_int() >= 1, "threads < 1");
   require(doc.find("config")->kind() == Json::Kind::kObject,
           "config is not an object");
-  // Every manifest must say which micro-kernel ISA produced it: a perf or
-  // accuracy number without its kernel ISA is not reproducible.
+  // Every manifest must say which micro-kernel ISA served it: the bits do
+  // not depend on it, but a perf number without its kernel ISA is not
+  // comparable.
   const Json* kernel_isa = doc.find("config")->find("kernel_isa");
   require(kernel_isa != nullptr, "missing config.kernel_isa");
   {
     const std::string isa = kernel_isa->as_string();
-    require(isa == "scalar" || isa == "avx2" || isa == "neon",
-            "config.kernel_isa is not scalar|avx2|neon");
+    require(isa == "scalar" || isa == "avx2",
+            "config.kernel_isa is not scalar|avx2");
   }
   const Json* counters = doc.find("metrics")->find("counters");
   require(counters != nullptr && counters->kind() == Json::Kind::kObject,

@@ -44,7 +44,7 @@ void print_image_pair(const tensor::Tensor& clean, const tensor::Tensor& adv,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   bench::BenchSetup obs_run = bench::parse_obs_flags(flags);
   util::ThreadPool::set_global_threads(
@@ -114,4 +114,8 @@ int main(int argc, char** argv) {
   }
   bench::finish_run(obs_run, "attack_gallery");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run);
 }

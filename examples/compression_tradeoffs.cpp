@@ -16,7 +16,7 @@
 
 using namespace con;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   bench::BenchSetup obs_run = bench::parse_obs_flags(flags);
   util::ThreadPool::set_global_threads(
@@ -83,4 +83,8 @@ int main(int argc, char** argv) {
       "only against gradient-magnitude attacks.\n");
   bench::finish_run(obs_run, "compression_tradeoffs");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run);
 }

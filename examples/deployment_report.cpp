@@ -27,7 +27,7 @@
 
 using namespace con;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   bench::BenchSetup obs_run = bench::parse_obs_flags(flags);
   util::ThreadPool::set_global_threads(
@@ -128,4 +128,8 @@ int main(int argc, char** argv) {
       static_cast<double>(total_dense) / std::max<std::size_t>(1, total_huff));
   bench::finish_run(obs_run, "deployment_report");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run);
 }

@@ -26,7 +26,7 @@
 
 using namespace con;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   bench::BenchSetup obs_run = bench::parse_obs_flags(flags);
   util::ThreadPool::set_global_threads(
@@ -99,4 +99,8 @@ int main(int argc, char** argv) {
       "Heartbleed-for-classifiers warning.\n");
   bench::finish_run(obs_run, "edge_deployment");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run);
 }

@@ -20,7 +20,7 @@
 
 using namespace con;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   bench::BenchSetup obs_run = bench::parse_obs_flags(flags);
   util::ThreadPool::set_global_threads(
@@ -79,4 +79,8 @@ int main(int argc, char** argv) {
       "the paper's headline finding.\n");
   bench::finish_run(obs_run, "quickstart");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run);
 }

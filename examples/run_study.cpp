@@ -24,7 +24,7 @@
 
 using namespace con;
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   bench::BenchSetup obs_run = bench::parse_obs_flags(flags);
   util::ThreadPool::set_global_threads(
@@ -121,4 +121,8 @@ int main(int argc, char** argv) {
               100.0 * stats.mean_l0_fraction);
   bench::finish_run(obs_run, "run_study");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, run);
 }

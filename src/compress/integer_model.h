@@ -42,7 +42,7 @@ bool integer_executable(nn::Sequential& model);
 
 // Deployed-integer forward pass. Throws std::invalid_argument (with the
 // blocker text) when the model is not integer-executable. Results are
-// bit-identical for any --threads and any CON_KERNEL (dispatch.h integer
+// bit-identical for any --threads and any kernel table (dispatch.h integer
 // precision contract).
 tensor::Tensor integer_forward(nn::Sequential& model, const tensor::Tensor& x);
 
@@ -59,7 +59,7 @@ std::pair<FixedPointFormat, FixedPointFormat> integer_formats(
 // integer_forward. Batches are evaluated in parallel over the global
 // thread pool into per-sample slots, and the integer path itself is
 // bit-identical under any thread count, so both values are thread-count
-// and CON_KERNEL invariant.
+// and kernel-table invariant.
 std::vector<int> integer_predict(nn::Sequential& model,
                                  const tensor::Tensor& images,
                                  int batch_size = 64);

@@ -5,8 +5,6 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "tensor/kernels/dispatch.h"
-
 namespace con::core {
 
 namespace {
@@ -37,19 +35,6 @@ void set_finetune_attrs(store::Derivation& d,
   d.set("ft.momentum", static_cast<double>(ft.momentum));
   d.set("ft.weight_decay", static_cast<double>(ft.weight_decay));
   d.set("ft.seed", static_cast<std::uint64_t>(ft.seed));
-}
-
-// Derivations computed with SIMD kernels carry the active ISA as an extra
-// attribute: float-GEMM results under avx2/neon may differ from scalar
-// within the documented bound (tensor/kernels/dispatch.h), so they must
-// never alias scalar-computed artifacts. The attribute is OMITTED for
-// scalar — every address minted before the kernel layer existed stays
-// valid, and the default build keeps hitting its old cache entries.
-void set_kernel_attr(store::Derivation& d) {
-  const tensor::kernels::Isa isa = tensor::kernels::active_isa();
-  if (isa != tensor::kernels::Isa::kScalar) {
-    d.set("kernel", std::string(tensor::kernels::isa_name(isa)));
-  }
 }
 
 void set_attack_attrs(store::Derivation& d, const store::Hash& dataset,
@@ -91,7 +76,6 @@ store::Derivation baseline_derivation(const StudyConfig& config,
   // for the synth generators.
   d.set("init_state", init_state);
   d.set("dataset", dataset);
-  set_kernel_attr(d);
   return d;
 }
 
@@ -108,7 +92,6 @@ store::Derivation pruned_derivation(const StudyConfig& config,
   set_finetune_attrs(d, config.finetune);
   d.set("baseline", baseline_drv);
   d.add_input(baseline_drv);
-  set_kernel_attr(d);
   return d;
 }
 
@@ -124,7 +107,6 @@ store::Derivation quantized_derivation(const StudyConfig& config,
   set_finetune_attrs(d, config.finetune);
   d.set("baseline", baseline_drv);
   d.add_input(baseline_drv);
-  set_kernel_attr(d);
   return d;
 }
 
@@ -135,7 +117,6 @@ store::Derivation clustered_derivation(const StudyConfig& config,
   d.set("bits", static_cast<std::int64_t>(bits));
   d.set("baseline", baseline_drv);
   d.add_input(baseline_drv);
-  set_kernel_attr(d);
   return d;
 }
 
@@ -150,7 +131,6 @@ store::Derivation adversarial_derivation(const store::Hash& source_drv,
   set_attack_attrs(d, dataset, attack_size, attack, params);
   d.set("source", source_drv);
   d.add_input(source_drv);
-  set_kernel_attr(d);
   return d;
 }
 
@@ -171,7 +151,6 @@ store::Derivation transfer_cell_derivation(const store::Hash& baseline_drv,
   d.set("variant", variant_drv);
   d.add_input(baseline_drv);
   d.add_input(variant_drv);
-  set_kernel_attr(d);
   return d;
 }
 
@@ -193,7 +172,6 @@ store::Derivation integer_cell_derivation(
   // different activation grid, so the cell address must move with them.
   d.set("int8.weight", weight_format.to_string());
   d.set("int8.act", activation_format.to_string());
-  set_kernel_attr(d);
   return d;
 }
 

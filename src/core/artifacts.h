@@ -77,8 +77,7 @@ store::Derivation transfer_cell_derivation(const store::Hash& baseline_drv,
 // (core::evaluate_scenarios_integer). A distinct kind plus the weight /
 // activation fixed-point formats as attributes keep integer cells at
 // addresses that can never alias the fake-quant float cells above, and
-// re-address every cell when either format axis moves; the kernel ISA
-// attribute rides along exactly as for the float cells.
+// re-address every cell when either format axis moves.
 store::Derivation integer_cell_derivation(
     const store::Hash& baseline_drv, const store::Hash& variant_drv,
     const store::Hash& dataset, tensor::Index attack_size,

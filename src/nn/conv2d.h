@@ -32,7 +32,7 @@ class Conv2d : public Layer {
   // key's activation grid, lowers the codes via int8 im2col (padding is
   // code 0), multiplies against cached packed weight-code panels with
   // int32 accumulators, and requantises — bit-identical to the
-  // compress::integer_exec oracle for any --threads and any CON_KERNEL.
+  // compress::integer_exec oracle for any --threads and any kernel table.
   Tensor forward_int8(const Tensor& x, const Int8FormatKey& key) const;
 
   const Conv2dSpec& spec() const { return spec_; }

@@ -23,7 +23,7 @@ class Linear : public Layer {
   // key's activation grid, multiplies int8 codes against cached packed
   // weight-code panels with int32 accumulators, and requantises with a
   // round-half-even shift — bit-identical to the compress::integer_exec
-  // oracle for any --threads and any CON_KERNEL (tensor/gemm_int8.h).
+  // oracle for any --threads and any kernel table (tensor/gemm_int8.h).
   // Requires weight_'s transform to snap onto exactly the key's grid.
   Tensor forward_int8(const Tensor& x, const Int8FormatKey& key) const;
 

@@ -32,16 +32,14 @@ void count_small_dispatch() {
 obs::Counter& blocked_counter(kernels::Isa isa) {
   static obs::Counter* by_isa[kernels::kNumIsas] = {
       &obs::counter("gemm.dispatch.blocked.scalar"),
-      &obs::counter("gemm.dispatch.blocked.avx2"),
-      &obs::counter("gemm.dispatch.blocked.neon")};
+      &obs::counter("gemm.dispatch.blocked.avx2")};
   return *by_isa[static_cast<int>(isa)];
 }
 
 obs::Counter& axpy_counter(kernels::Isa isa) {
   static obs::Counter* by_isa[kernels::kNumIsas] = {
       &obs::counter("gemm.dispatch.sparse_axpy.scalar"),
-      &obs::counter("gemm.dispatch.sparse_axpy.avx2"),
-      &obs::counter("gemm.dispatch.sparse_axpy.neon")};
+      &obs::counter("gemm.dispatch.sparse_axpy.avx2")};
   return *by_isa[static_cast<int>(isa)];
 }
 
@@ -83,10 +81,10 @@ void build_skip_lists(PackedMatrix& p) {
 
 // The register-tile micro-kernel lives in the runtime-dispatched kernel
 // table (tensor/kernels/dispatch.h): kernels/kernel_scalar.h holds the
-// bit-exact template these loops always ran, kernel_avx2.cpp /
-// kernel_neon.cpp the vectorized variants selected by the first-use probe
-// or CON_KERNEL. Packing, panel threading and the zero-skip lists below
-// are ISA-independent and feed every table entry the same strips.
+// template these loops always ran, kernel_avx2.cpp the bit-identical
+// vectorized variant the first-use probe selects on AVX2 hosts. Packing,
+// panel threading and the zero-skip lists below are ISA-independent and
+// feed every table entry the same strips.
 
 // The right operand of a GEMM call: either a pre-packed matrix (cached
 // weight panels) or raw storage packed panel-by-panel inside each task.

@@ -19,8 +19,7 @@ namespace {
 obs::Counter& int8_counter(kernels::Isa isa) {
   static obs::Counter* by_isa[kernels::kNumIsas] = {
       &obs::counter("gemm.dispatch.int8.scalar"),
-      &obs::counter("gemm.dispatch.int8.avx2"),
-      &obs::counter("gemm.dispatch.int8.neon")};
+      &obs::counter("gemm.dispatch.int8.avx2")};
   return *by_isa[static_cast<int>(isa)];
 }
 

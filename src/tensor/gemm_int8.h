@@ -11,7 +11,7 @@
 // at lowering time, nn/packed_weights.cpp).
 //
 // Layout: codes are packed pair-of-k interleaved so the SIMD kernels read
-// one k-pair per fused multiply-add (AVX2 vpmaddwd / NEON vmull+vpadd):
+// one k-pair per fused multiply-add (AVX2 vpmaddwd):
 //  - Left operand (PackedInt8A): MR = 4 row strips, codes widened to int16
 //    so one row's k-pair is a single 32-bit broadcast:
 //      data[((s·kpairs + p)·4 + i)·2 + u] = code(row s·4+i, k 2p+u)
@@ -32,8 +32,8 @@
 // Threading mirrors tensor/gemm.cpp: kNC-column panels of C via
 // util::parallel_for, each element computed by exactly one task, so results
 // are independent of --threads. Integer arithmetic makes every ISA
-// bit-identical to the scalar oracle, so unlike the float kernels there is
-// no SIMD opt-in: results never depend on CON_KERNEL either.
+// bit-identical to the scalar oracle, so results never depend on the
+// kernel table either.
 #pragma once
 
 #include <cstdint>

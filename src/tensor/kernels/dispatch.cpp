@@ -1,18 +1,15 @@
 // Kernel-table resolution: probe once, dispatch forever.
 //
 // The active table lives behind one atomic pointer. First use resolves it
-// from (a) the host probe — cpuid via __builtin_cpu_supports on x86-64,
-// compile-target on aarch64 where NEON is architectural — and (b) the
-// CON_KERNEL environment override. Resolution is idempotent, so a first-use
-// race between threads is benign: both resolve the same pointer. After
-// that every lookup is a single relaxed load; nothing on the dispatch path
+// from the host probe (cpuid via __builtin_cpu_supports on x86-64) to the
+// best supported table. Resolution is idempotent, so a first-use race
+// between threads is benign: both resolve the same pointer. After that
+// every lookup is a single atomic load; nothing on the dispatch path
 // allocates (the hot-path-alloc conlint region below pins this statically,
 // tests/test_kernels.cpp pins it dynamically).
 #include "tensor/kernels/dispatch.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <stdexcept>
 
 #include "obs/metrics.h"
 #include "tensor/kernels/kernel_scalar.h"
@@ -20,16 +17,14 @@
 
 namespace con::tensor::kernels {
 
-// Defined in kernel_avx2.cpp / kernel_neon.cpp; each returns nullptr when
-// its ISA is not compiled into this binary (wrong target architecture).
+// Defined in kernel_avx2.cpp; returns nullptr when AVX2 is not compiled
+// into this binary (wrong target architecture).
 const KernelTable* avx2_table();
-const KernelTable* neon_table();
 
 namespace {
 
 // The pre-dispatch crossover (gemm.cpp PR 2): below this M·N·K the scalar
-// loops beat pack+dispatch. Kept for the scalar table so default-build
-// dispatch decisions are unchanged.
+// loops beat pack+dispatch.
 constexpr Index kScalarSmallGemmFlops = 1 << 15;
 
 const KernelTable* scalar_table() {
@@ -60,101 +55,36 @@ const KernelTable* scalar_table() {
 }
 
 const KernelTable* table_for(Isa isa) {
-  switch (isa) {
-    case Isa::kAvx2:
-      return avx2_table();
-    case Isa::kNeon:
-      return neon_table();
-    case Isa::kScalar:
-    default:
-      return scalar_table();
-  }
+  return isa == Isa::kAvx2 ? avx2_table() : scalar_table();
 }
 
 bool host_executes(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-      return true;
-    case Isa::kAvx2:
+  if (isa == Isa::kScalar) return true;
 #if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx2") != 0 &&
-             __builtin_cpu_supports("fma") != 0;
+  return __builtin_cpu_supports("avx2") != 0 &&
+         __builtin_cpu_supports("fma") != 0;
 #else
-      return false;
-#endif
-    case Isa::kNeon:
-      // Advanced SIMD is architectural on AArch64; if the NEON TU compiled
-      // (same condition), the host runs it.
-      return neon_table() != nullptr;
-  }
   return false;
+#endif
 }
 
 std::atomic<const KernelTable*> g_active{nullptr};
 
-void count_fallback() {
-  static obs::Counter& c = obs::counter("gemm.dispatch.fallback");
-  c.add(1);
-}
-
-const KernelTable* resolve_initial() {
-  return table_for(resolve_env_request(std::getenv("CON_KERNEL")));
-}
-
 }  // namespace
 
 const char* isa_name(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-      return "scalar";
-    case Isa::kAvx2:
-      return "avx2";
-    case Isa::kNeon:
-      return "neon";
-  }
-  return "scalar";
+  return isa == Isa::kAvx2 ? "avx2" : "scalar";
 }
 
 bool isa_supported(Isa isa) {
   return table_for(isa) != nullptr && host_executes(isa);
 }
 
-Isa parse_isa(const std::string& name) {
-  if (name == "scalar") return Isa::kScalar;
-  if (name == "avx2") return Isa::kAvx2;
-  if (name == "neon") return Isa::kNeon;
-  throw std::invalid_argument("unknown kernel ISA '" + name +
-                              "' (expected scalar|avx2|neon)");
-}
-
-Isa resolve_env_request(const char* value) {
-  if (value == nullptr || value[0] == '\0') return Isa::kScalar;
-  Isa want;
-  try {
-    want = parse_isa(value);
-  } catch (const std::invalid_argument&) {
-    util::log_warn("CON_KERNEL=%s is not scalar|avx2|neon; using scalar",
-                   value);
-    count_fallback();
-    return Isa::kScalar;
-  }
-  if (!isa_supported(want)) {
-    util::log_warn(
-        "CON_KERNEL=%s requested but this host/build cannot run it; "
-        "falling back to scalar kernels",
-        value);
-    count_fallback();
-    return Isa::kScalar;
-  }
-  return want;
-}
-
 // conlint:hotpath begin
 const KernelTable& active() {
   const KernelTable* t = g_active.load(std::memory_order_acquire);
   if (t == nullptr) {
-    // conlint:allow(hot-path-alloc): one-time table resolution on the first call; every later call takes the cached-pointer branch
-    t = resolve_initial();
+    t = table_for(isa_supported(Isa::kAvx2) ? Isa::kAvx2 : Isa::kScalar);
     g_active.store(t, std::memory_order_release);
   }
   return *t;
@@ -169,7 +99,8 @@ Isa set_isa(Isa isa) {
         "kernel ISA '%s' is not available on this host/build; "
         "falling back to scalar kernels",
         isa_name(isa));
-    count_fallback();
+    static obs::Counter& fallback = obs::counter("gemm.dispatch.fallback");
+    fallback.add(1);
     isa = Isa::kScalar;
   }
   g_active.store(table_for(isa), std::memory_order_release);

@@ -3,47 +3,38 @@
 //
 // The blocked GEMM layer (tensor/gemm.cpp) and the elementwise ops
 // (tensor/ops.cpp) call through one process-wide `KernelTable` of plain
-// function pointers. The table is resolved exactly once, at first use:
-// a cpuid/auxval probe picks the best implementation the host supports,
-// overridable with `CON_KERNEL=scalar|avx2|neon` in the environment or the
-// `--kernel` flag every bench/example accepts (bench_common.h). Each ISA
-// lives in its own translation unit (kernel_avx2.cpp / kernel_neon.cpp)
-// compiled with per-TU ISA flags, so the default build still runs on any
-// host: the vector TUs are only *called* after the runtime probe says the
-// instructions exist.
+// function pointers. The table is resolved exactly once, at first use: a
+// cpuid probe picks the best implementation the host supports (AVX2+FMA on
+// x86-64, else scalar). The AVX2 table lives in its own translation unit
+// (kernel_avx2.cpp) compiled with per-TU ISA flags, so the default build
+// still runs on any host: the vector code is only *called* after the probe
+// says the instructions exist.
 //
-// Precision contract (DESIGN.md §5, "SIMD precision contract"):
-//  - `scalar` is the default and the bit-exact oracle: its entries are the
-//    exact loops the pre-dispatch code ran, so default-build results are
-//    byte-identical to releases before this layer existed.
-//  - The SIMD float-accumulating register-tile kernels (`nn_mr_x_8`) use
-//    FMA and two interleaved partial sums per output element, so their
-//    results may differ from scalar within the documented error bound
-//    |simd − scalar| ≤ 2·γ_K·Σ|a·b|, γ_K = K·2⁻²⁴ (tests/test_kernels.cpp
-//    asserts it). Opting in (CON_KERNEL=avx2|neon) is a statement that you
-//    accept those bits; artifact-store derivations record the active ISA
-//    whenever it is not scalar, so SIMD-computed artifacts never alias
-//    scalar ones (core/artifacts.cpp).
-//  - Everything else is bit-identical on every ISA: the double-accumulating
-//    NT kernel (float products are exact in double, so fused and unfused
-//    rounding agree), the sparse row-axpy, and the elementwise entries
-//    (vectorized with separate multiply and add — never contracted).
+// Precision contract (DESIGN.md §5, "SIMD precision contract"): every
+// table entry is bit-identical to the scalar table, so the table a host
+// picks never changes a result or an artifact-store address.
+//  - `scalar` is the reference: its entries are the exact loops the
+//    pre-dispatch code ran, and the fallback on hosts without AVX2+FMA.
+//  - The float register tile (`nn_4x8`) keeps one accumulator chain per
+//    output element, k ascending, with separate multiply and add. The
+//    double-accumulating NT tile is exact per product (float products are
+//    exact in double, so fused and unfused rounding agree). The sparse
+//    row-axpy and the elementwise entries are vectorized with separate
+//    multiply and add — never contracted.
 //  - The int8 entries (`int8_4x16`, `quant_i8`, `requant_*`) are integer
-//    arithmetic end to end, so every ISA is bit-identical to the scalar
-//    oracle by construction — no tolerance, no opt-in (DESIGN.md §5,
-//    "Integer precision contract"). The only float steps are exact:
-//    power-of-two scaling and int→float conversion of values ≤ 2⁷.
+//    arithmetic end to end (DESIGN.md §5, "Integer precision contract").
+//    The only float steps are exact: power-of-two scaling and int→float
+//    conversion of values ≤ 2⁷.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "tensor/tensor.h"
 
 namespace con::tensor::kernels {
 
-enum class Isa : int { kScalar = 0, kAvx2 = 1, kNeon = 2 };
-inline constexpr int kNumIsas = 3;
+enum class Isa : int { kScalar = 0, kAvx2 = 1 };
+inline constexpr int kNumIsas = 2;
 
 // Register-tile GEMM micro-kernel: one MR×NR accumulator tile over packed
 // strips (ap[k*MR + i], bp[k*NR + j]), full depth per output element in
@@ -143,12 +134,9 @@ struct KernelTable {
   RequantFn requant_row_bias = nullptr;
 };
 
-// The active table. First call probes the host and reads $CON_KERNEL; the
-// lookup afterwards is one relaxed atomic load (safe inside hot loops —
-// never allocates). Requesting an unsupported ISA via the environment logs
-// a warning and falls back to scalar instead of failing: a generic binary
-// must keep working on any host (graceful-fallback contract, CI `generic`
-// job).
+// The active table. First call activates the best ISA the host supports;
+// the lookup afterwards is one atomic load (safe inside hot loops — never
+// allocates).
 const KernelTable& active();
 Isa active_isa();
 const char* isa_name(Isa isa);
@@ -156,21 +144,13 @@ const char* isa_name(Isa isa);
 // True when `isa` is compiled into this binary AND the host executes it.
 bool isa_supported(Isa isa);
 
-// Forces the table. Returns the ISA actually activated: `isa` when
-// supported, otherwise scalar (with a warning). Not thread-safe against
-// concurrent kernel calls — call at startup or in tests.
+// Forces the table (tests and micro-benchmarks). Returns the ISA actually
+// activated: `isa` when supported, otherwise scalar (with a warning). Not
+// thread-safe against concurrent kernel calls — call at startup or in tests.
 Isa set_isa(Isa isa);
 
-// Parses "scalar" / "avx2" / "neon"; throws std::invalid_argument on
-// anything else (the --kernel flag path: typos fail loudly).
-Isa parse_isa(const std::string& name);
-
-// Env-string resolution used at first probe, exposed for tests: returns the
-// ISA CON_KERNEL=`value` would activate (nullptr means unset → scalar).
-// Unknown names and unsupported ISAs resolve to scalar.
-Isa resolve_env_request(const char* value);
-
-// RAII forced-ISA scope for tests and benches; restores on destruction.
+// RAII forced-ISA scope for tests and micro-benchmarks; restores on
+// destruction.
 class ScopedIsa {
  public:
   explicit ScopedIsa(Isa isa) : prev_(active_isa()) { set_isa(isa); }

@@ -4,21 +4,19 @@
 // CMakeLists.txt) so the rest of the tree stays baseline-ISA: these
 // functions are only reached through the dispatch table after the runtime
 // cpuid probe confirms the host executes them. `-ffp-contract=off` matters:
-// every fused multiply-add below is an *explicit* _mm256_fmadd intrinsic,
-// and every deliberately-unfused multiply+add stays unfused — the compiler
-// may not re-contract them, or the elementwise bit-identity contract
+// the one fused multiply-add below is the explicit _mm256_fmadd_pd of the
+// double NT kernel, and every float multiply+add stays unfused — the
+// compiler may not re-contract them, or the bit-identity contract
 // (dispatch.h) would silently break.
 //
-// Precision notes (DESIGN.md §5, "SIMD precision contract"):
-//  - nn_4x8: float accumulators, FMA, and two interleaved partial sums per
-//    output element (even/odd k, combined once at the end) to cover FMA
-//    latency with eight independent chains. Differs from scalar within
-//    |Δ| ≤ 2·γ_{K+1}·Σ|a·b|, γ_K = K·2⁻²⁴.
+// Every entry is bit-identical to the scalar table (DESIGN.md §5):
+//  - nn_4x8: float accumulators, one chain per output element, k ascending,
+//    separate multiply and add — the scalar operation sequence per lane.
 //  - nt_2x8: double accumulators, ascending k, one chain per element. A
 //    product of two floats is exact in double (24+24 < 53 mantissa bits),
-//    so fused and unfused rounding agree and the result is bit-identical
-//    to the scalar kernel.
-//  - axpy / elementwise: multiply and add kept separate → bit-identical.
+//    so fused and unfused rounding agree.
+//  - axpy / elementwise: multiply and add kept separate.
+//  - int8: integer arithmetic, exact in any order.
 #include "tensor/kernels/dispatch.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -34,72 +32,29 @@ namespace {
 // conlint:hotpath begin
 
 // Float register-tile kernel, MR=4 (gemm::kStripA), NR=8 (gemm::kStripB).
-// Eight ymm accumulators: rows 0..3 × {even k, odd k}. The zero-skip
-// contract of the scalar kernel is preserved by arithmetic instead of
-// branching: a zero A lane contributes fma(±0·b) = ±0, which never changes
-// a finite accumulation (gemm.h).
+// One ymm accumulator per row, fed k ascending with a separate multiply and
+// add: per lane that is the scalar kernel's `acc += a * b`, so the tile is
+// bit-identical to it. The scalar kernel's zero-row skip needs no branch: a
+// zero A lane adds ±0 (B is finite), which never changes an accumulator
+// that starts at +0 (gemm.h).
 void nn_4x8_avx2(Index depth, const float* __restrict ap,
                  const float* __restrict bp,
                  const std::int32_t* __restrict klist, Index nk, float* c,
                  Index ldc, Index mv, Index nv) {
-  __m256 e0 = _mm256_setzero_ps(), e1 = e0, e2 = e0, e3 = e0;  // even chains
-  __m256 o0 = e0, o1 = e0, o2 = e0, o3 = e0;                   // odd chains
+  __m256 r0 = _mm256_setzero_ps(), r1 = r0, r2 = r0, r3 = r0;
+  auto step = [&](Index k) {
+    const float* a = ap + k * 4;
+    const __m256 b = _mm256_loadu_ps(bp + k * 8);
+    r0 = _mm256_add_ps(r0, _mm256_mul_ps(_mm256_broadcast_ss(a + 0), b));
+    r1 = _mm256_add_ps(r1, _mm256_mul_ps(_mm256_broadcast_ss(a + 1), b));
+    r2 = _mm256_add_ps(r2, _mm256_mul_ps(_mm256_broadcast_ss(a + 2), b));
+    r3 = _mm256_add_ps(r3, _mm256_mul_ps(_mm256_broadcast_ss(a + 3), b));
+  };
   if (klist == nullptr) {
-    Index k = 0;
-    for (; k + 1 < depth; k += 2) {
-      const float* a0 = ap + k * 4;
-      const __m256 b0 = _mm256_loadu_ps(bp + k * 8);
-      const __m256 b1 = _mm256_loadu_ps(bp + (k + 1) * 8);
-      e0 = _mm256_fmadd_ps(_mm256_broadcast_ss(a0 + 0), b0, e0);
-      e1 = _mm256_fmadd_ps(_mm256_broadcast_ss(a0 + 1), b0, e1);
-      e2 = _mm256_fmadd_ps(_mm256_broadcast_ss(a0 + 2), b0, e2);
-      e3 = _mm256_fmadd_ps(_mm256_broadcast_ss(a0 + 3), b0, e3);
-      o0 = _mm256_fmadd_ps(_mm256_broadcast_ss(a0 + 4), b1, o0);
-      o1 = _mm256_fmadd_ps(_mm256_broadcast_ss(a0 + 5), b1, o1);
-      o2 = _mm256_fmadd_ps(_mm256_broadcast_ss(a0 + 6), b1, o2);
-      o3 = _mm256_fmadd_ps(_mm256_broadcast_ss(a0 + 7), b1, o3);
-    }
-    if (k < depth) {
-      const float* a0 = ap + k * 4;
-      const __m256 b0 = _mm256_loadu_ps(bp + k * 8);
-      e0 = _mm256_fmadd_ps(_mm256_broadcast_ss(a0 + 0), b0, e0);
-      e1 = _mm256_fmadd_ps(_mm256_broadcast_ss(a0 + 1), b0, e1);
-      e2 = _mm256_fmadd_ps(_mm256_broadcast_ss(a0 + 2), b0, e2);
-      e3 = _mm256_fmadd_ps(_mm256_broadcast_ss(a0 + 3), b0, e3);
-    }
+    for (Index k = 0; k < depth; ++k) step(k);
   } else {
-    Index t = 0;
-    for (; t + 1 < nk; t += 2) {
-      const Index ka = klist[t], kb = klist[t + 1];
-      const float* aa = ap + ka * 4;
-      const float* ab = ap + kb * 4;
-      const __m256 b0 = _mm256_loadu_ps(bp + ka * 8);
-      const __m256 b1 = _mm256_loadu_ps(bp + kb * 8);
-      e0 = _mm256_fmadd_ps(_mm256_broadcast_ss(aa + 0), b0, e0);
-      e1 = _mm256_fmadd_ps(_mm256_broadcast_ss(aa + 1), b0, e1);
-      e2 = _mm256_fmadd_ps(_mm256_broadcast_ss(aa + 2), b0, e2);
-      e3 = _mm256_fmadd_ps(_mm256_broadcast_ss(aa + 3), b0, e3);
-      o0 = _mm256_fmadd_ps(_mm256_broadcast_ss(ab + 0), b1, o0);
-      o1 = _mm256_fmadd_ps(_mm256_broadcast_ss(ab + 1), b1, o1);
-      o2 = _mm256_fmadd_ps(_mm256_broadcast_ss(ab + 2), b1, o2);
-      o3 = _mm256_fmadd_ps(_mm256_broadcast_ss(ab + 3), b1, o3);
-    }
-    if (t < nk) {
-      const Index ka = klist[t];
-      const float* aa = ap + ka * 4;
-      const __m256 b0 = _mm256_loadu_ps(bp + ka * 8);
-      e0 = _mm256_fmadd_ps(_mm256_broadcast_ss(aa + 0), b0, e0);
-      e1 = _mm256_fmadd_ps(_mm256_broadcast_ss(aa + 1), b0, e1);
-      e2 = _mm256_fmadd_ps(_mm256_broadcast_ss(aa + 2), b0, e2);
-      e3 = _mm256_fmadd_ps(_mm256_broadcast_ss(aa + 3), b0, e3);
-    }
+    for (Index t = 0; t < nk; ++t) step(klist[t]);
   }
-  // Combine the even/odd partial sums (the one reassociation this kernel
-  // performs) and write the valid tile corner.
-  const __m256 r0 = _mm256_add_ps(e0, o0);
-  const __m256 r1 = _mm256_add_ps(e1, o1);
-  const __m256 r2 = _mm256_add_ps(e2, o2);
-  const __m256 r3 = _mm256_add_ps(e3, o3);
   if (mv == 4 && nv == 8) {
     _mm256_storeu_ps(c + 0 * ldc, r0);
     _mm256_storeu_ps(c + 1 * ldc, r1);
@@ -488,10 +443,9 @@ const KernelTable* avx2_table() {
   static const KernelTable t = [] {
     KernelTable k;
     k.isa = Isa::kAvx2;
-    // Re-tuned crossover (gemm.cpp PR 2 used 1<<15 for the scalar tiles):
-    // the 8-wide FMA kernel amortises pack+dispatch ~4× sooner, measured at
-    // square shapes on AVX2 hosts (tests/test_kernels.cpp only requires
-    // correctness at any value; bench_micro_ops shows the win).
+    // Re-tuned crossover (the scalar table uses 1<<15): the 8-wide tile
+    // amortises pack+dispatch ~4× sooner, measured at square shapes on AVX2
+    // hosts. Both sides of the crossover give the same bits.
     k.small_gemm_flops = 1 << 13;
     k.nn_4x8 = &nn_4x8_avx2;
     k.nt_2x8 = &nt_2x8_avx2;

@@ -1,12 +1,13 @@
-// The scalar micro-kernels: the bit-exact oracle every SIMD table entry is
-// measured against, and the default table's implementation.
+// The scalar micro-kernels: the reference every AVX2 table entry must match
+// bit for bit, and the table hosts without AVX2+FMA run.
 //
 // These are the exact loops tensor/gemm.cpp and tensor/ops.cpp ran before
 // the dispatch layer existed — moved here verbatim so the scalar table
-// entry, the SIMD TUs' remainder handling, and the oracle tests all share
+// entry, the AVX2 TU's remainder handling, and the oracle tests all share
 // one definition. Keep the operation sequences byte-for-byte: one
 // accumulator per output element fed the full k range in ascending order,
-// no reassociation, no FMA (DESIGN.md §5).
+// no reassociation, no FMA (DESIGN.md §5). The vector kernels copy these
+// sequences per lane; changing one here changes what they must match.
 #pragma once
 
 #include <algorithm>

@@ -46,14 +46,24 @@ std::int64_t CliFlags::get_int(const std::string& name,
   used_[name] = true;
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return std::stoll(it->second);
+  try {
+    return std::stoll(it->second);
+  } catch (const std::logic_error&) {
+    throw std::invalid_argument("flag --" + name +
+                                " is not an integer: " + it->second);
+  }
 }
 
 double CliFlags::get_double(const std::string& name, double fallback) const {
   used_[name] = true;
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return std::stod(it->second);
+  try {
+    return std::stod(it->second);
+  } catch (const std::logic_error&) {
+    throw std::invalid_argument("flag --" + name +
+                                " is not a number: " + it->second);
+  }
 }
 
 bool CliFlags::get_bool(const std::string& name, bool fallback) const {

@@ -23,6 +23,8 @@ class CliFlags {
 
   std::string get_string(const std::string& name,
                          const std::string& fallback) const;
+  // Numeric lookups throw std::invalid_argument naming the flag when the
+  // value does not parse.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,9 +19,11 @@
 #include "compress/fixed_point.h"
 #include "core/artifacts.h"
 #include "core/study.h"
+#include "core/sweeps.h"
 #include "data/synth_digits.h"
 #include "io/checkpoint.h"
 #include "store/store.h"
+#include "tensor/kernels/dispatch.h"
 
 namespace con {
 namespace {
@@ -278,6 +281,63 @@ TEST(StoredStudy, SecondStudyIsServedFromTheStore) {
   EXPECT_EQ(io::model_state_hash(loaded).hex(),
             io::model_state_hash(trained).hex())
       << "a store hit must reproduce the trained state bit-exactly";
+}
+
+// ---------------------------------------------------------- ISA invariance
+
+// Every file under <root>/objects by name; `.drv` sidecars without their
+// observational registered-at line.
+std::map<std::string, std::string> object_bytes(const std::string& root) {
+  std::map<std::string, std::string> out;
+  for (const auto& e : std::filesystem::directory_iterator(root + "/objects")) {
+    std::string bytes = read_file(e.path().string());
+    if (e.path().extension() == ".drv") {
+      bytes = bytes.substr(0, bytes.find("registered-at "));
+    }
+    out[e.path().filename().string()] = std::move(bytes);
+  }
+  return out;
+}
+
+// A baseline, one pruned and one quantised variant, one IFGSM float cell
+// and one int8 cell, realised into a cold store on the active table.
+std::map<std::string, std::string> realise_tiny_study(const std::string& stem) {
+  core::StudyConfig cfg = tiny_config();
+  cfg.store_dir = fresh_store_dir(stem);
+  core::Study study(cfg);
+  core::ModelArtifact pruned = study.pruned_variant(0.5);
+  core::ModelArtifact quantized = study.quantized_variant(8);
+  const AttackParams ifgsm{.epsilon = 0.02f, .iterations = 3};
+  core::evaluate_scenarios_stored(study, pruned, core::CellKind::kFloat,
+                                  AttackKind::kIfgsm, ifgsm);
+  core::evaluate_scenarios_stored(study, quantized, core::CellKind::kInt8,
+                                  AttackKind::kIfgsm, ifgsm);
+  return object_bytes(cfg.store_dir);
+}
+
+TEST(IsaInvarianceTest, StudyObjectsByteIdenticalScalarVsBest) {
+  // The precision contract end to end: the scalar table and the table the
+  // host probe picks realise the same objects with the same bytes, so no
+  // ISA needs to appear in a store address.
+  namespace kernels = tensor::kernels;
+  if (!kernels::isa_supported(kernels::Isa::kAvx2)) {
+    GTEST_SKIP() << "this host runs only the scalar table";
+  }
+  std::map<std::string, std::string> scalar;
+  {
+    kernels::ScopedIsa scoped(kernels::Isa::kScalar);
+    scalar = realise_tiny_study("isa_scalar");
+  }
+  ASSERT_EQ(kernels::active_isa(), kernels::Isa::kAvx2);
+  const std::map<std::string, std::string> best =
+      realise_tiny_study("isa_best");
+  ASSERT_FALSE(scalar.empty());
+  EXPECT_EQ(scalar.size(), best.size());
+  for (const auto& [name, bytes] : scalar) {
+    const auto it = best.find(name);
+    ASSERT_NE(it, best.end()) << name << " missing under the default table";
+    EXPECT_TRUE(bytes == it->second) << name << " differs";
+  }
 }
 
 }  // namespace

@@ -41,12 +41,12 @@ using tensor::Shape;
 using tensor::Tensor;
 namespace kernels = con::tensor::kernels;
 
-// Scalar first, then whatever SIMD the host can run: the backend claims
+// Scalar first, then AVX2 when the host can run it: the backend claims
 // bit-identity across all of them (dispatch.h integer precision contract).
 std::vector<kernels::Isa> all_isas() {
   std::vector<kernels::Isa> out = {kernels::Isa::kScalar};
-  for (kernels::Isa isa : {kernels::Isa::kAvx2, kernels::Isa::kNeon}) {
-    if (kernels::isa_supported(isa)) out.push_back(isa);
+  if (kernels::isa_supported(kernels::Isa::kAvx2)) {
+    out.push_back(kernels::Isa::kAvx2);
   }
   return out;
 }
@@ -406,9 +406,9 @@ TEST(IntegerModel, ForwardThrowsTheBlockerText) {
 }
 
 TEST(IntegerModel, ForwardIsIsaInvariant) {
-  // The whole-model walk composes only bit-identical pieces (int8 layers,
-  // float layers untouched by the table's SIMD-sensitive entries at eval),
-  // so the deployed logits must not depend on CON_KERNEL at all.
+  // The whole-model walk composes only bit-identical pieces (int8 layers
+  // and the float entries of every table), so the deployed logits must not
+  // depend on the kernel table at all.
   nn::Sequential q = quantized_lenet(8);
   const Tensor x = random_batch(Shape{4, 1, 28, 28}, 72);
   const Tensor want = integer_forward(q, x);

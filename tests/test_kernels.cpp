@@ -1,27 +1,24 @@
 // Oracle suite for the runtime-dispatched micro-kernel tables
 // (tensor/kernels/dispatch.h).
 //
-// The scalar table is the bit-exact oracle; this file checks every other
-// table against it under the precision contract of DESIGN.md §5:
-//  - float-accumulating GEMM (nn_4x8): |simd − scalar| ≤ 2·γ_K·Σ|a·b|,
-//    γ_K = K·2⁻²⁴, on random, pruned and adversarially-scaled inputs at
-//    every tile-remainder shape;
-//  - everything else (NT double kernel, sparse row-axpy, elementwise,
-//    panel pack_row) bit-identical on every ISA;
-//  - the dispatch override surface: parse errors throw, unsupported
-//    requests fall back to scalar gracefully, ScopedIsa restores.
+// The scalar table is the reference; this file checks every other table
+// against it under the precision contract of DESIGN.md §5: every entry —
+// float GEMM tiles (NN/TN, dense and zero-skip), the NT double tile, the
+// sparse row-axpy, elementwise, panel pack_row and all of int8 — is
+// bit-identical to scalar at every tile-remainder shape, on random, pruned
+// and adversarially-scaled inputs. The dispatch surface is checked too:
+// first use activates the best supported ISA, unsupported requests fall
+// back to scalar, ScopedIsa restores.
 //
-// A global test environment pins the scalar table before any test runs, so
-// the rest of con_tests stays deterministic even under CON_KERNEL=avx2 in
-// the environment; SIMD paths are only ever exercised through an explicit
-// ScopedIsa.
+// Each comparison computes its reference under an explicit
+// ScopedIsa(kScalar), since the default table is the best one the host
+// supports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,18 +40,10 @@ using con::tensor::Tensor;
 namespace gemm = con::tensor::gemm;
 namespace kernels = con::tensor::kernels;
 
-class ScalarBaselineEnv : public ::testing::Environment {
- public:
-  void SetUp() override { kernels::set_isa(kernels::Isa::kScalar); }
-};
-
-const auto* const g_scalar_env =
-    ::testing::AddGlobalTestEnvironment(new ScalarBaselineEnv);
-
 std::vector<kernels::Isa> supported_simd_isas() {
   std::vector<kernels::Isa> out;
-  for (kernels::Isa isa : {kernels::Isa::kAvx2, kernels::Isa::kNeon}) {
-    if (kernels::isa_supported(isa)) out.push_back(isa);
+  if (kernels::isa_supported(kernels::Isa::kAvx2)) {
+    out.push_back(kernels::Isa::kAvx2);
   }
   return out;
 }
@@ -84,7 +73,7 @@ Tensor make_input(Index rows, Index cols, std::uint64_t seed, Fill fill) {
     }
   } else if (fill == Fill::kScaled) {
     // Adversarial dynamic range: magnitudes spread over ~2^40 so partial
-    // sums cancel catastrophically if a kernel reorders beyond contract.
+    // sums cancel catastrophically if a kernel reorders anything.
     for (float& v : t.flat()) {
       const int e = static_cast<int>(rng.uniform() * 40.0) - 20;
       v = std::ldexp(v, e);
@@ -93,78 +82,48 @@ Tensor make_input(Index rows, Index cols, std::uint64_t seed, Fill fill) {
   return t;
 }
 
-// |simd − scalar| ≤ 2·γ_K·Σ_k|a_ik·b_kj| with γ_K = K·2⁻²⁴ (dispatch.h):
-// both results are individually within γ_K·Σ|ab| of the exact product, the
-// scalar one by the standard sequential-summation bound, the SIMD one
-// because FMA with two interleaved chains only removes roundings.
-void expect_within_gemm_bound(const Tensor& a, const Tensor& b,
-                              const Tensor& scalar_c, const Tensor& simd_c) {
-  ASSERT_EQ(scalar_c.shape(), simd_c.shape());
-  const Index m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  const double gamma = static_cast<double>(k) * std::ldexp(1.0, -24);
-  for (Index i = 0; i < m; ++i) {
-    for (Index j = 0; j < n; ++j) {
-      double sum_abs = 0.0;
-      for (Index t = 0; t < k; ++t) {
-        sum_abs += std::fabs(static_cast<double>(a[i * k + t]) *
-                             static_cast<double>(b[t * n + j]));
-      }
-      const double diff = std::fabs(static_cast<double>(scalar_c[i * n + j]) -
-                                    static_cast<double>(simd_c[i * n + j]));
-      ASSERT_LE(diff, 2.0 * gamma * sum_abs + 1e-30)
-          << "(" << i << "," << j << ") scalar=" << scalar_c[i * n + j]
-          << " simd=" << simd_c[i * n + j];
-    }
-  }
-}
-
 // ---- dispatch surface -------------------------------------------------------
 
-TEST(KernelDispatch, ParseIsaAcceptsKnownNamesAndThrowsOnTypos) {
-  EXPECT_EQ(kernels::parse_isa("scalar"), kernels::Isa::kScalar);
-  EXPECT_EQ(kernels::parse_isa("avx2"), kernels::Isa::kAvx2);
-  EXPECT_EQ(kernels::parse_isa("neon"), kernels::Isa::kNeon);
-  EXPECT_THROW(kernels::parse_isa("avx512"), std::invalid_argument);
-  EXPECT_THROW(kernels::parse_isa(""), std::invalid_argument);
-  EXPECT_THROW(kernels::parse_isa("AVX2"), std::invalid_argument);
-}
-
-TEST(KernelDispatch, EnvResolutionFallsBackToScalarGracefully) {
-  // Unset and empty mean scalar (the default contract: SIMD is opt-in).
-  EXPECT_EQ(kernels::resolve_env_request(nullptr), kernels::Isa::kScalar);
-  EXPECT_EQ(kernels::resolve_env_request(""), kernels::Isa::kScalar);
-  // A typo in the environment must not crash a generic binary.
-  EXPECT_EQ(kernels::resolve_env_request("bogus"), kernels::Isa::kScalar);
-  // Supported ISAs resolve to themselves, unsupported ones to scalar.
-  for (kernels::Isa isa : {kernels::Isa::kAvx2, kernels::Isa::kNeon}) {
-    const kernels::Isa got = kernels::resolve_env_request(kernels::isa_name(isa));
-    EXPECT_EQ(got, kernels::isa_supported(isa) ? isa : kernels::Isa::kScalar);
-  }
+TEST(KernelDispatch, FirstUseActivatesTheBestSupportedIsa) {
+  // No test leaves a forced table behind (ScopedIsa restores), so the
+  // active table is the one first use resolved: AVX2 wherever the host
+  // runs it, scalar otherwise.
+  const kernels::Isa best = kernels::isa_supported(kernels::Isa::kAvx2)
+                                ? kernels::Isa::kAvx2
+                                : kernels::Isa::kScalar;
+  EXPECT_EQ(kernels::active_isa(), best);
+  EXPECT_EQ(kernels::active().isa, best);
 }
 
 TEST(KernelDispatch, SetIsaReportsTheActivatedTable) {
-  for (kernels::Isa isa : {kernels::Isa::kAvx2, kernels::Isa::kNeon}) {
-    const kernels::Isa got = kernels::set_isa(isa);
-    if (kernels::isa_supported(isa)) {
-      EXPECT_EQ(got, isa);
-      EXPECT_EQ(kernels::active_isa(), isa);
-    } else {
-      EXPECT_EQ(got, kernels::Isa::kScalar);
-      EXPECT_EQ(kernels::active_isa(), kernels::Isa::kScalar);
-    }
-    kernels::set_isa(kernels::Isa::kScalar);
+  const kernels::Isa prev = kernels::active_isa();
+  const kernels::Isa got = kernels::set_isa(kernels::Isa::kAvx2);
+  if (kernels::isa_supported(kernels::Isa::kAvx2)) {
+    EXPECT_EQ(got, kernels::Isa::kAvx2);
+    EXPECT_EQ(kernels::active_isa(), kernels::Isa::kAvx2);
+  } else {
+    EXPECT_EQ(got, kernels::Isa::kScalar);
+    EXPECT_EQ(kernels::active_isa(), kernels::Isa::kScalar);
   }
+  EXPECT_EQ(kernels::set_isa(kernels::Isa::kScalar), kernels::Isa::kScalar);
+  EXPECT_EQ(kernels::active_isa(), kernels::Isa::kScalar);
+  kernels::set_isa(prev);
 }
 
 TEST(KernelDispatch, ScopedIsaRestoresThePreviousTable) {
-  ASSERT_EQ(kernels::active_isa(), kernels::Isa::kScalar);
-  for (kernels::Isa isa : supported_simd_isas()) {
-    {
-      kernels::ScopedIsa scoped(isa);
-      EXPECT_EQ(kernels::active_isa(), isa);
-    }
+  const kernels::Isa prev = kernels::active_isa();
+  {
+    kernels::ScopedIsa scalar(kernels::Isa::kScalar);
     EXPECT_EQ(kernels::active_isa(), kernels::Isa::kScalar);
+    for (kernels::Isa isa : supported_simd_isas()) {
+      {
+        kernels::ScopedIsa scoped(isa);
+        EXPECT_EQ(kernels::active_isa(), isa);
+      }
+      EXPECT_EQ(kernels::active_isa(), kernels::Isa::kScalar);
+    }
   }
+  EXPECT_EQ(kernels::active_isa(), prev);
 }
 
 TEST(KernelDispatch, EveryActivatedTableIsFullyPopulated) {
@@ -195,11 +154,32 @@ TEST(KernelDispatch, EveryActivatedTableIsFullyPopulated) {
   }
 }
 
-// ---- float GEMM: within the analytic bound ---------------------------------
+// ---- float GEMM: bit-identical ---------------------------------------------
+
+// One direct nn_4x8 call on scalar and on the active table into
+// sentinel-filled 4×8 tiles: the kernel must write exactly the mv×nv corner,
+// with the scalar bits. `ap` is [depth, 4] and `bp` [depth, 8], the strip
+// layout ap[k*4 + i], bp[k*8 + j] (dispatch.h).
+void expect_tile_matches_scalar(kernels::Isa isa, const Tensor& ap,
+                                const Tensor& bp,
+                                const std::vector<std::int32_t>* klist,
+                                Index mv, Index nv) {
+  const Index depth = ap.dim(0);
+  const std::int32_t* kl = klist == nullptr ? nullptr : klist->data();
+  const Index nk = klist == nullptr ? 0 : static_cast<Index>(klist->size());
+  Tensor want({gemm::kStripA, gemm::kStripB});
+  want.fill(-7.0f);
+  Tensor got = want;
+  kernels::scalar::nn_4x8(depth, ap.data(), bp.data(), kl, nk, want.data(),
+                          gemm::kStripB, mv, nv);
+  kernels::ScopedIsa scoped(isa);
+  kernels::active().nn_4x8(depth, ap.data(), bp.data(), kl, nk, got.data(),
+                           gemm::kStripB, mv, nv);
+  expect_bits_equal(want, got, "nn_4x8 tile");
+}
 
 // Shapes covering every mv (1..4) and nv (1..8) tile remainder, the panel
-// boundary, and k parities (the even/odd interleave has a lone-k tail when
-// K is odd).
+// boundary, and odd and even depth.
 struct GemmCase {
   Index m, k, n;
 };
@@ -208,19 +188,46 @@ const GemmCase kGemmCases[] = {
     {7, 16, 7}, {8, 17, 24}, {9, 32, 31}, {16, 33, 40}, {33, 64, 65},
 };
 
-TEST(KernelOracle, FloatGemmWithinAnalyticBound) {
+TEST(KernelOracle, FloatGemmBitIdentical) {
   for (kernels::Isa isa : supported_simd_isas()) {
     for (Fill fill : {Fill::kRandom, Fill::kPruned, Fill::kScaled}) {
+      // The tile itself at every valid corner, odd and even depth.
+      for (Index depth : {1, 2, 7, 8, 33}) {
+        const Tensor ap = make_input(depth, gemm::kStripA, 500 + depth, fill);
+        const Tensor bp = make_input(depth, gemm::kStripB, 600 + depth, fill);
+        for (Index mv = 1; mv <= gemm::kStripA; ++mv) {
+          for (Index nv = 1; nv <= gemm::kStripB; ++nv) {
+            expect_tile_matches_scalar(isa, ap, bp, nullptr, mv, nv);
+            if (HasFatalFailure()) return;
+          }
+        }
+      }
+      // Whole products in every form that runs the float tile: packed A,
+      // packed B and packed transposed A. The packed-operand entries never
+      // take the small-size fallback, so the table kernel runs at every
+      // shape.
       for (const GemmCase& c : kGemmCases) {
         const Tensor a = make_input(c.m, c.k, 1000 + c.m * 7 + c.k, fill);
         const Tensor b = make_input(c.k, c.n, 2000 + c.k * 7 + c.n, fill);
-        // The packed-A entry never takes the small-size fallback, so the
-        // table kernel runs at every shape.
+        const Tensor at = make_input(c.k, c.m, 3000 + c.m * 7 + c.k, fill);
         const auto pa = gemm::pack_rowmajor(a, gemm::kStripA);
-        const Tensor want = gemm::matmul_nn(pa, b);
+        const auto pb = gemm::pack_colmajor(b, gemm::kStripB);
+        const auto pat = gemm::pack_colmajor(at, gemm::kStripA);
+        const auto run = [&] {
+          return std::vector<Tensor>{gemm::matmul_nn(pa, b),
+                                     gemm::matmul_nn(a, pb),
+                                     gemm::matmul_tn(pat, b)};
+        };
+        std::vector<Tensor> want;
+        {
+          kernels::ScopedIsa scalar(kernels::Isa::kScalar);
+          want = run();
+        }
         kernels::ScopedIsa scoped(isa);
-        const Tensor got = gemm::matmul_nn(pa, b);
-        expect_within_gemm_bound(a, b, want, got);
+        const std::vector<Tensor> got = run();
+        expect_bits_equal(want[0], got[0], "matmul_nn packed A");
+        expect_bits_equal(want[1], got[1], "matmul_nn packed B");
+        expect_bits_equal(want[2], got[2], "matmul_tn");
         if (HasFatalFailure()) return;
       }
     }
@@ -228,22 +235,46 @@ TEST(KernelOracle, FloatGemmWithinAnalyticBound) {
 }
 
 TEST(KernelOracle, FloatGemmZeroSkipStripsAgree) {
-  // Whole strip columns of zeros exercise the klist path (and its odd-length
-  // tail) in every table; elided terms all have a zero factor, so the
-  // bound argument is unchanged.
+  // Skip lists over strips whose listed k still hold zero A rows: scalar
+  // skips those rows, the SIMD tiles add ±0 — the bits must agree.
   for (kernels::Isa isa : supported_simd_isas()) {
+    for (Index depth : {7, 8, 40}) {
+      Tensor ap = make_input(depth, gemm::kStripA, 700 + depth, Fill::kRandom);
+      const Tensor bp =
+          make_input(depth, gemm::kStripB, 800 + depth, Fill::kScaled);
+      std::vector<std::int32_t> klist;
+      for (Index k = 0; k < depth; ++k) {
+        if (k % 3 == 2) continue;  // elided k (odd- and even-length lists)
+        klist.push_back(static_cast<std::int32_t>(k));
+        ap[k * gemm::kStripA + k % gemm::kStripA] = 0.0f;  // zero A row
+      }
+      for (Index mv = 1; mv <= gemm::kStripA; ++mv) {
+        for (Index nv = 1; nv <= gemm::kStripB; ++nv) {
+          expect_tile_matches_scalar(isa, ap, bp, &klist, mv, nv);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+    // End to end: whole strip columns of zeros send matmul_nn down the
+    // klist path, and the surviving columns keep zero rows.
     Tensor a = make_input(9, 40, 77, Fill::kRandom);
     for (Index i = 0; i < 9; ++i) {
       for (Index k = 0; k < 40; ++k) {
-        if ((k % 3) != 1) a[i * 40 + k] = 0.0f;  // kill 2/3 of the k range
+        // Kill a third of the k range, and one row in four of the rest.
+        if (k % 3 == 0 || (i + k) % 4 == 0) a[i * 40 + k] = 0.0f;
       }
     }
     const Tensor b = make_input(40, 23, 78, Fill::kRandom);
     const auto pa = gemm::pack_rowmajor(a, gemm::kStripA);
-    const Tensor want = gemm::matmul_nn(pa, b);
+    ASSERT_GT(pa.nnz * 100, static_cast<std::int64_t>(9) * 40 * 25)
+        << "input too sparse: it would take the row-axpy path";
+    Tensor want;
+    {
+      kernels::ScopedIsa scalar(kernels::Isa::kScalar);
+      want = gemm::matmul_nn(pa, b);
+    }
     kernels::ScopedIsa scoped(isa);
-    const Tensor got = gemm::matmul_nn(pa, b);
-    expect_within_gemm_bound(a, b, want, got);
+    expect_bits_equal(want, gemm::matmul_nn(pa, b), "matmul_nn klist");
   }
 }
 
@@ -258,6 +289,7 @@ TEST(KernelOracle, NtGemmBitIdentical) {
       const Tensor x = make_input(c.m, c.k, 3000 + c.m, Fill::kScaled);
       const Tensor w = make_input(c.n, c.k, 4000 + c.n, Fill::kScaled);
       const auto pw = gemm::pack_rowmajor(w, gemm::kStripB);
+      kernels::ScopedIsa scalar(kernels::Isa::kScalar);
       const Tensor want = gemm::matmul_nt(x, pw);
       kernels::ScopedIsa scoped(isa);
       const Tensor got = gemm::matmul_nt(x, pw);
@@ -283,6 +315,7 @@ TEST(KernelOracle, SparseAxpyPathBitIdentical) {
     const auto pa = gemm::pack_rowmajor(a, gemm::kStripA);
     ASSERT_LE(pa.nnz * 100, static_cast<std::int64_t>(64) * 48 * 25)
         << "input not sparse enough to exercise the axpy path";
+    kernels::ScopedIsa scalar(kernels::Isa::kScalar);
     const Tensor want = gemm::matmul_nn(pa, b);
     kernels::ScopedIsa scoped(isa);
     const Tensor got = gemm::matmul_nn(pa, b);
@@ -315,6 +348,7 @@ TEST(KernelOracle, ElementwiseBitIdentical) {
       const Tensor a = elementwise_input(n, 600 + n);
       const Tensor b = elementwise_input(n, 700 + n);
       auto run = [&](auto&& fn) {
+        kernels::ScopedIsa scalar(kernels::Isa::kScalar);
         Tensor scalar_out = fn();
         kernels::ScopedIsa scoped(isa);
         Tensor simd_out = fn();
@@ -383,6 +417,7 @@ TEST(KernelOracle, ElementwiseBitIdentical) {
 TEST(KernelOracle, ReluToleratesAliasedInPlaceUse) {
   for (kernels::Isa isa : supported_simd_isas()) {
     const Tensor a = elementwise_input(257, 42);
+    kernels::ScopedIsa scalar(kernels::Isa::kScalar);
     Tensor want = a;
     con::tensor::relu_inplace(want);
     kernels::ScopedIsa scoped(isa);
@@ -403,6 +438,7 @@ TEST(KernelOracle, BiasAddAndColumnSumsBitIdentical) {
       Tensor want_acc({cols}), got_acc({cols});
       want_acc.fill(0.125f);
       got_acc.fill(0.125f);
+      kernels::ScopedIsa scalar(kernels::Isa::kScalar);
       con::tensor::bias_add_inplace(want_m, bias);
       con::tensor::column_sums_add_inplace(want_acc, m);
       kernels::ScopedIsa scoped(isa);
@@ -445,10 +481,9 @@ TEST(KernelOracle, PackRowMatchesScalarBytesAndFlags) {
 }
 
 // ---- int8 integer path: bit-identical, no tolerance ------------------------
-// The int8 entries are integer arithmetic end to end (dispatch.h), so the
-// contract is stricter than the float GEMM's analytic bound: every ISA must
-// reproduce the scalar oracle exactly, at every tile remainder, with and
-// without pair skip lists.
+// The int8 entries are integer arithmetic end to end (dispatch.h): every ISA
+// must reproduce the scalar oracle exactly, at every tile remainder, with
+// and without pair skip lists.
 
 std::vector<std::int8_t> random_int8_codes(Index n, std::uint64_t seed,
                                            double zero_prob = 0.0) {
@@ -542,6 +577,7 @@ TEST(Int8KernelOracle, MatmulBitIdenticalAcrossIsasAndSources) {
     };
     const gemm::Int8BSource packed_src{.packed = &pb};
     const gemm::Int8BSource raw_src{.raw = raw.data(), .ld = c.n};
+    kernels::ScopedIsa scalar(kernels::Isa::kScalar);
     const std::vector<std::int32_t> want = run(packed_src);
     ASSERT_EQ(want, run(raw_src))
         << "raw k-major source diverged from packed panels at m=" << c.m

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
+#include <string>
 
 #include "util/cli.h"
 #include "util/rng.h"
@@ -129,6 +130,19 @@ TEST(Cli, BadBooleanThrows) {
   const char* argv[] = {"prog", "--b=maybe"};
   CliFlags flags(2, argv);
   EXPECT_THROW(flags.get_bool("b", false), std::invalid_argument);
+}
+
+TEST(Cli, BadNumberNamesTheFlag) {
+  const char* argv[] = {"prog", "--seed=abc", "--eps=1e999"};
+  CliFlags flags(3, argv);
+  try {
+    flags.get_int("seed", 0);
+    FAIL() << "a non-numeric --seed must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--seed"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(flags.get_double("eps", 0.0), std::invalid_argument);
 }
 
 TEST(TableTest, AlignedRender) {
