@@ -24,8 +24,8 @@
 // A telemetry file (--telemetry) must be JSONL with strictly sequential
 // "seq" numbers from 0, nondecreasing elapsed_s, a counters_delta object on
 // every periodic record, and a last record marked "final": true carrying
-// full counters / distributions / histograms sections. When --telemetry and
-// --manifest are both given, the final record's counters object must
+// the full metrics object (counters and histograms). When --telemetry and
+// --manifest are both given, the final record's metrics.counters must
 // serialize to exactly the same bytes as the manifest's metrics.counters —
 // the sampler quiesce contract (obs/sampler.h). A manifest whose
 // trace.dropped_total is positive prints a WARNING (the ring was sized too
@@ -144,8 +144,6 @@ void validate_manifest(const std::string& path, bool expect_store_hits_only,
             "store.hit == 0 — a warm run never touched the store");
   }
   if (expect_integer_path) validate_integer_path(*counters);
-  require(doc.find("metrics")->find("distributions") != nullptr,
-          "missing metrics.distributions");
   require(doc.find("metrics")->find("histograms") != nullptr,
           "missing metrics.histograms");
   // Trace-ring drop accounting (always present): drops do not fail the
@@ -203,11 +201,13 @@ Json validate_telemetry(const std::string& path) {
       require(final_marker != nullptr && final_marker->as_bool(),
               where + ": last record is not marked final "
                       "(the run never quiesced its sampler)");
-      for (const char* key : {"counters", "distributions", "histograms"}) {
-        const Json* section = rec.find(key);
+      const Json* metrics = rec.find("metrics");
+      require(metrics != nullptr, where + ": final record missing metrics");
+      for (const char* key : {"counters", "histograms"}) {
+        const Json* section = metrics->find(key);
         require(section != nullptr &&
                     section->kind() == Json::Kind::kObject,
-                where + ": final record missing " + key + " object");
+                where + ": final record missing metrics." + key + " object");
       }
       require(rec.find("trace_dropped") != nullptr,
               where + ": final record missing trace_dropped");
@@ -233,7 +233,8 @@ void cross_check_final_counters(const Json& final_record,
   const Json* manifest_counters = manifest.find("metrics")->find("counters");
   require(manifest_counters != nullptr,
           "manifest missing metrics.counters for telemetry cross-check");
-  const std::string a = final_record.find("counters")->dump();
+  const std::string a =
+      final_record.find("metrics")->find("counters")->dump();
   const std::string b = manifest_counters->dump();
   require(a == b,
           "final telemetry counters differ from manifest counters:\n  "

@@ -88,13 +88,12 @@ Tensor run_attack_batched(AttackKind kind, const nn::Sequential& model,
   Tensor result(images.shape());
   obs::Span batch_span(attack_name(kind), "batched");
   static obs::Counter& chunks = obs::counter("attack.chunks");
-  static obs::Distribution& chunk_time = obs::dist("attack.chunk_s");
   static obs::Histogram& chunk_hist = obs::histogram("attack.chunk_ns");
   util::parallel_for(0, num_chunks, [&](std::size_t c) {
     const Index lo = static_cast<Index>(c) * kAttackChunk;
     const Index hi = std::min(lo + kAttackChunk, n);
     obs::Span chunk_span(attack_name(kind), "chunk");
-    obs::ScopedTimer chunk_timer(chunk_time, chunk_hist);
+    obs::ScopedTimer chunk_timer(chunk_hist);
     chunks.add(1);
     // Each chunk reads its own rows of `images` and owns its own rows of
     // `result`; no cross-chunk writes, no chunk copies.

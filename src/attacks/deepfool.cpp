@@ -126,19 +126,15 @@ void deepfool_range(const nn::Sequential& model, const Tensor& images,
   std::vector<Index> keep2;
 
   static obs::Counter& iters = obs::counter("attack.deepfool.iterations");
-  static obs::Distribution& active =
-      obs::dist("attack.deepfool.active_rows");
-  // Same observations as the distribution, but bucketed: the histogram's
-  // exact integer counts make the active-set decay curve comparable across
-  // --threads settings, where per-thread min/max interleavings are not.
-  static obs::Histogram& active_hist =
+  // Exact integer buckets and sum: the active-set decay curve is
+  // comparable across --threads settings.
+  static obs::Histogram& active =
       obs::histogram("attack.deepfool.active_rows");
   int it = 0;
   // conlint:hotpath begin
   while (!rows.empty() && it < params.iterations) {
     iters.add(1);
-    active.record(static_cast<double>(rows.size()));
-    active_hist.record(static_cast<std::uint64_t>(rows.size()));
+    active.record(static_cast<std::uint64_t>(rows.size()));
     // x_i = x0 + (1 + η) r, clamped — the iterate carries the overshoot,
     // as in the reference implementation.
     tensor::add_scaled_into(xi, x0, r, 1.0f + overshoot);

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "obs/obs.h"
+
 namespace con::compress {
 
 namespace {
@@ -21,6 +23,7 @@ nn::TrainConfig to_train_config(const FineTuneConfig& c) {
 nn::Sequential make_pruned_model(const nn::Sequential& baseline,
                                  const data::Dataset& train, double density,
                                  const FineTuneConfig& config, bool one_shot) {
+  obs::ScopedPhase phase("prune");
   nn::Sequential model = baseline.clone();
   char buf[32];
   std::snprintf(buf, sizeof(buf), "-d%.3f", density);
@@ -40,6 +43,7 @@ nn::Sequential make_pruned_model(const nn::Sequential& baseline,
                                         config.epochs > 0 ? total_steps / 3
                                                           : 0});
   if (config.epochs > 0) {
+    obs::Span span(model.name(), "finetune");
     nn::train_classifier(model, train.images, train.labels,
                          to_train_config(config), pruner.hook());
     // Land exactly on the target density regardless of where the last
@@ -54,6 +58,7 @@ nn::Sequential make_quantized_model(const nn::Sequential& baseline,
                                     const data::Dataset& train, int bitwidth,
                                     const FineTuneConfig& config,
                                     bool quantize_activations) {
+  obs::ScopedPhase phase("quantise");
   QuantizeOptions options{
       .format = FixedPointFormat::paper_format(bitwidth),
       .quantize_weights = true,
@@ -61,6 +66,7 @@ nn::Sequential make_quantized_model(const nn::Sequential& baseline,
   };
   nn::Sequential model = quantize_model(baseline, options);
   if (config.epochs > 0) {
+    obs::Span span(model.name(), "finetune");
     nn::train_classifier(model, train.images, train.labels,
                          to_train_config(config));
   }

@@ -12,7 +12,7 @@ using tensor::Index;
 using tensor::Tensor;
 
 QuantActivation::QuantActivation(FixedPointFormat fmt, std::string layer_name)
-    : fmt_(fmt), name_(std::move(layer_name)) {}
+    : Layer(std::move(layer_name)), fmt_(fmt) {}
 
 Tensor QuantActivation::forward(const Tensor& x, bool /*train*/,
                                 nn::TapeSlot& slot) const {
@@ -39,13 +39,13 @@ Tensor QuantActivation::forward(const Tensor& x, bool /*train*/,
 Tensor QuantActivation::backward(const Tensor& grad_out,
                                  nn::TapeSlot& slot) const {
   if (grad_out.shape() != slot.aux.shape()) {
-    throw std::invalid_argument(name_ + ": grad shape mismatch");
+    throw std::invalid_argument(name() + ": grad shape mismatch");
   }
   return tensor::mul(grad_out, slot.aux);
 }
 
 std::unique_ptr<nn::Layer> QuantActivation::clone() const {
-  return std::make_unique<QuantActivation>(fmt_, name_);
+  return std::make_unique<QuantActivation>(fmt_, name());
 }
 
 nn::Sequential quantize_model(const nn::Sequential& model,

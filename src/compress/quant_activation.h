@@ -21,14 +21,12 @@ class QuantActivation : public nn::Layer {
   Tensor forward(const Tensor& x, bool train,
                  nn::TapeSlot& slot) const override;
   Tensor backward(const Tensor& grad_out, nn::TapeSlot& slot) const override;
-  std::string name() const override { return name_; }
   std::unique_ptr<nn::Layer> clone() const override;
 
   const FixedPointFormat& format() const { return fmt_; }
 
  private:
   FixedPointFormat fmt_;
-  std::string name_;
 };
 
 struct QuantizeOptions {

@@ -56,7 +56,7 @@ std::vector<float> gather_activations(const nn::Sequential& model,
   nn::ForwardTape tape(/*accumulate_param_grads=*/false);
   tensor::Tensor h = batch;
   for (std::size_t i = 0; i < model.num_layers(); ++i) {
-    h = model.layer(i).forward(h, /*train=*/false, tape.slot(i));
+    h = model.forward_layer(i, h, /*train=*/false, tape);
     activations.insert(activations.end(), h.flat().begin(), h.flat().end());
   }
   return activations;

@@ -1,4 +1,4 @@
-// Distribution analysis for Figure 6: cumulative distribution functions of
+// Figure 6 analysis: cumulative distribution functions of
 // all weights and all activations of a (quantised) model.
 #pragma once
 

@@ -68,7 +68,7 @@ Tensor layer_activation_matrix(const nn::Sequential& model, const Tensor& batch,
   nn::ForwardTape tape(/*accumulate_param_grads=*/false);
   Tensor h = batch;
   for (std::size_t i = 0; i <= layer_index; ++i) {
-    h = model.layer(i).forward(h, /*train=*/false, tape.slot(i));
+    h = model.forward_layer(i, h, /*train=*/false, tape);
   }
   const Index n = h.dim(0);
   return h.reshaped({n, h.numel() / n});
@@ -83,7 +83,7 @@ std::vector<LayerSimilarity> feature_space_similarity(
     nn::ForwardTape tape(/*accumulate_param_grads=*/false);
     Tensor h = batch;
     for (std::size_t i = 0; i < m.num_layers(); ++i) {
-      h = m.layer(i).forward(h, /*train=*/false, tape.slot(i));
+      h = m.forward_layer(i, h, /*train=*/false, tape);
       const Index n = h.dim(0);
       acts[m.layer(i).name()] = h.reshaped({n, h.numel() / n});
     }

@@ -13,7 +13,7 @@ Tensor ReLU::forward(const Tensor& x, bool /*train*/, TapeSlot& slot) const {
 
 Tensor ReLU::backward(const Tensor& grad_out, TapeSlot& slot) const {
   if (grad_out.shape() != slot.input.shape()) {
-    throw std::invalid_argument(name_ + ": grad shape mismatch");
+    throw std::invalid_argument(name() + ": grad shape mismatch");
   }
   Tensor gx = grad_out;
   tensor::relu_backward_inplace(gx, slot.input);

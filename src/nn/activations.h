@@ -7,17 +7,14 @@ namespace con::nn {
 
 class ReLU : public Layer {
  public:
-  explicit ReLU(std::string layer_name = "relu") : name_(std::move(layer_name)) {}
+  explicit ReLU(std::string layer_name = "relu")
+      : Layer(std::move(layer_name)) {}
 
   Tensor forward(const Tensor& x, bool train, TapeSlot& slot) const override;
   Tensor backward(const Tensor& grad_out, TapeSlot& slot) const override;
-  std::string name() const override { return name_; }
   std::unique_ptr<Layer> clone() const override {
-    return std::make_unique<ReLU>(name_);
+    return std::make_unique<ReLU>(name());
   }
-
- private:
-  std::string name_;
 };
 
 }  // namespace con::nn

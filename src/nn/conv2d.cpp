@@ -34,14 +34,14 @@ void pack_conv_int8(PackedInt8Weights& pw, const std::int8_t* codes,
 
 Conv2d::Conv2d(const Conv2dSpec& spec, con::util::Rng& rng,
                std::string layer_name)
-    : spec_(spec),
-      name_(std::move(layer_name)),
-      weight_(name_ + ".weight",
+    : Layer(std::move(layer_name)),
+      spec_(spec),
+      weight_(name() + ".weight",
               Tensor({spec.out_channels,
                       spec.in_channels * spec.kernel * spec.kernel})),
-      bias_(name_ + ".bias", Tensor({spec.out_channels})) {
+      bias_(name() + ".bias", Tensor({spec.out_channels})) {
   if (spec.in_channels <= 0 || spec.out_channels <= 0 || spec.kernel <= 0) {
-    throw std::invalid_argument(name_ + ": invalid conv spec");
+    throw std::invalid_argument(name() + ": invalid conv spec");
   }
   tensor::fill_kaiming_normal(weight_.value, rng,
                               spec.in_channels * spec.kernel * spec.kernel);
@@ -50,13 +50,10 @@ Conv2d::Conv2d(const Conv2dSpec& spec, con::util::Rng& rng,
 
 Tensor Conv2d::forward(const Tensor& x, bool train, TapeSlot& slot) const {
   if (x.rank() != 4 || x.dim(1) != spec_.in_channels) {
-    throw std::invalid_argument(name_ + ": expected input [N, " +
+    throw std::invalid_argument(name() + ": expected input [N, " +
                                 std::to_string(spec_.in_channels) +
                                 ", H, W], got " + x.shape().to_string());
   }
-  obs::Span span(name_, "fwd");
-  obs::ScopedTimer timer(fwd_time_.get(name_ + ".forward_s"),
-                         fwd_hist_.get(name_ + ".forward_ns"));
   const Index n = x.dim(0);
   slot.geom = tensor::Conv2dGeometry{
       .in_channels = spec_.in_channels,
@@ -97,11 +94,11 @@ Tensor Conv2d::forward(const Tensor& x, bool train, TapeSlot& slot) const {
 
 Tensor Conv2d::forward_int8(const Tensor& x, const Int8FormatKey& key) const {
   if (x.rank() != 4 || x.dim(1) != spec_.in_channels) {
-    throw std::invalid_argument(name_ + ": expected input [N, " +
+    throw std::invalid_argument(name() + ": expected input [N, " +
                                 std::to_string(spec_.in_channels) +
                                 ", H, W], got " + x.shape().to_string());
   }
-  obs::Span span(name_, "int8");
+  obs::Span span(name(), "int8");
   const Index n = x.dim(0);
   const tensor::Conv2dGeometry geom{
       .in_channels = spec_.in_channels,
@@ -159,12 +156,9 @@ Tensor Conv2d::backward(const Tensor& grad_out, TapeSlot& slot) const {
   if (grad_out.rank() != 4 || grad_out.dim(0) != n ||
       grad_out.dim(1) != spec_.out_channels || grad_out.dim(2) != oh ||
       grad_out.dim(3) != ow) {
-    throw std::invalid_argument(name_ + ": bad grad_out shape " +
+    throw std::invalid_argument(name() + ": bad grad_out shape " +
                                 grad_out.shape().to_string());
   }
-  obs::Span span(name_, "bwd");
-  obs::ScopedTimer timer(bwd_time_.get(name_ + ".backward_s"),
-                         bwd_hist_.get(name_ + ".backward_ns"));
   // Gather the NCHW gradient into the [outC, N*P] layout of the forward
   // GEMM output.
   const Index total = n * plane;

@@ -3,7 +3,6 @@
 
 #include "nn/layer.h"
 #include "nn/packed_weights.h"
-#include "obs/metrics.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 
@@ -25,7 +24,6 @@ class Conv2d : public Layer {
   Tensor forward(const Tensor& x, bool train, TapeSlot& slot) const override;
   Tensor backward(const Tensor& grad_out, TapeSlot& slot) const override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
-  std::string name() const override { return name_; }
   std::unique_ptr<Layer> clone() const override;
 
   // Deployed-integer forward (inference only, no tape): quantises x to the
@@ -43,19 +41,12 @@ class Conv2d : public Layer {
   Conv2d(const Conv2d&) = default;
 
   Conv2dSpec spec_;
-  std::string name_;
   // weight stored as [out_channels, in_channels * k * k] for the matmul.
   Parameter weight_;
   Parameter bias_;
   // Packed effective-weight panels, rebuilt when weight_'s fingerprint
   // changes (internally mutable: packing is not logical layer state).
   PackedWeightsCache cache_;
-  // Per-layer wall-time distributions ("<name>.forward_s" / ".backward_s")
-  // plus log2-bucketed latency histograms (".forward_ns" / ".backward_ns").
-  mutable obs::LazyDist fwd_time_;
-  mutable obs::LazyDist bwd_time_;
-  mutable obs::LazyHist fwd_hist_;
-  mutable obs::LazyHist bwd_hist_;
 };
 
 }  // namespace con::nn

@@ -13,10 +13,14 @@
 // state (Dropout's RNG, Parameter::grad_gate) and
 // is single-threaded by contract, as is any backward that accumulates
 // parameter gradients.
+//
+// A layer's name is fixed at construction; Sequential keys the layer's
+// span and latency histograms on it.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/parameter.h"
@@ -44,11 +48,17 @@ class Layer {
 
   virtual std::vector<Parameter*> parameters() { return {}; }
 
-  virtual std::string name() const = 0;
+  const std::string& name() const { return name_; }
 
   // Deep copy, including parameter values, masks and transforms. Used to
   // derive compressed model variants from a trained baseline.
   virtual std::unique_ptr<Layer> clone() const = 0;
+
+ protected:
+  explicit Layer(std::string layer_name) : name_(std::move(layer_name)) {}
+
+ private:
+  std::string name_;
 };
 
 }  // namespace con::nn

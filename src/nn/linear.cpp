@@ -32,24 +32,21 @@ void pack_linear_int8(PackedInt8Weights& pw, const std::int8_t* codes,
 
 Linear::Linear(Index in_features, Index out_features, con::util::Rng& rng,
                std::string layer_name)
-    : in_features_(in_features),
+    : Layer(std::move(layer_name)),
+      in_features_(in_features),
       out_features_(out_features),
-      name_(std::move(layer_name)),
-      weight_(name_ + ".weight", Tensor({out_features, in_features})),
-      bias_(name_ + ".bias", Tensor({out_features})) {
+      weight_(name() + ".weight", Tensor({out_features, in_features})),
+      bias_(name() + ".bias", Tensor({out_features})) {
   tensor::fill_kaiming_normal(weight_.value, rng, in_features);
   bias_.compressible = false;
 }
 
 Tensor Linear::forward(const Tensor& x, bool train, TapeSlot& slot) const {
   if (x.rank() != 2 || x.dim(1) != in_features_) {
-    throw std::invalid_argument(name_ + ": expected input [N, " +
+    throw std::invalid_argument(name() + ": expected input [N, " +
                                 std::to_string(in_features_) + "], got " +
                                 x.shape().to_string());
   }
-  obs::Span span(name_, "fwd");
-  obs::ScopedTimer timer(fwd_time_.get(name_ + ".forward_s"),
-                         fwd_hist_.get(name_ + ".forward_ns"));
   slot.input = x;
   slot.packed = cache_.get(weight_, &pack_linear);
   // The optimizer reads grad_gate at step() time; only a training forward
@@ -63,11 +60,11 @@ Tensor Linear::forward(const Tensor& x, bool train, TapeSlot& slot) const {
 
 Tensor Linear::forward_int8(const Tensor& x, const Int8FormatKey& key) const {
   if (x.rank() != 2 || x.dim(1) != in_features_) {
-    throw std::invalid_argument(name_ + ": expected input [N, " +
+    throw std::invalid_argument(name() + ": expected input [N, " +
                                 std::to_string(in_features_) + "], got " +
                                 x.shape().to_string());
   }
-  obs::Span span(name_, "int8");
+  obs::Span span(name(), "int8");
   const Index n = x.dim(0);
   const auto pw = cache_.get_int8(weight_, bias_, key, &pack_linear_int8);
   // Input codes, packed as the left operand.
@@ -92,12 +89,9 @@ Tensor Linear::forward_int8(const Tensor& x, const Int8FormatKey& key) const {
 Tensor Linear::backward(const Tensor& grad_out, TapeSlot& slot) const {
   if (grad_out.rank() != 2 || grad_out.dim(1) != out_features_ ||
       grad_out.dim(0) != slot.input.dim(0)) {
-    throw std::invalid_argument(name_ + ": bad grad_out shape " +
+    throw std::invalid_argument(name() + ": bad grad_out shape " +
                                 grad_out.shape().to_string());
   }
-  obs::Span span(name_, "bwd");
-  obs::ScopedTimer timer(bwd_time_.get(name_ + ".backward_s"),
-                         bwd_hist_.get(name_ + ".backward_ns"));
   if (slot.accumulate_param_grads) {
     // dW[out, in] = grad_out[N, out]^T * x[N, in]
     Tensor dw = tensor::matmul_tn(grad_out, slot.input);

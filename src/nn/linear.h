@@ -3,7 +3,6 @@
 
 #include "nn/layer.h"
 #include "nn/packed_weights.h"
-#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace con::nn {
@@ -16,7 +15,6 @@ class Linear : public Layer {
   Tensor forward(const Tensor& x, bool train, TapeSlot& slot) const override;
   Tensor backward(const Tensor& grad_out, TapeSlot& slot) const override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
-  std::string name() const override { return name_; }
   std::unique_ptr<Layer> clone() const override;
 
   // Deployed-integer forward (inference only, no tape): quantises x to the
@@ -37,18 +35,11 @@ class Linear : public Layer {
 
   tensor::Index in_features_;
   tensor::Index out_features_;
-  std::string name_;
   Parameter weight_;
   Parameter bias_;
   // Packed effective-weight panels, rebuilt when weight_'s fingerprint
   // changes (internally mutable: packing is not logical layer state).
   PackedWeightsCache cache_;
-  // Per-layer wall-time distributions ("<name>.forward_s" / ".backward_s")
-  // plus log2-bucketed latency histograms (".forward_ns" / ".backward_ns").
-  mutable obs::LazyDist fwd_time_;
-  mutable obs::LazyDist bwd_time_;
-  mutable obs::LazyHist fwd_hist_;
-  mutable obs::LazyHist bwd_hist_;
 };
 
 }  // namespace con::nn

@@ -8,23 +8,23 @@ namespace con::nn {
 using tensor::Index;
 
 MaxPool2d::MaxPool2d(Index window, Index stride, std::string layer_name)
-    : window_(window), stride_(stride), name_(std::move(layer_name)) {
+    : Layer(std::move(layer_name)), window_(window), stride_(stride) {
   if (window <= 0 || stride <= 0) {
-    throw std::invalid_argument(name_ + ": invalid pooling spec");
+    throw std::invalid_argument(name() + ": invalid pooling spec");
   }
 }
 
 Tensor MaxPool2d::forward(const Tensor& x, bool /*train*/,
                           TapeSlot& slot) const {
   if (x.rank() != 4) {
-    throw std::invalid_argument(name_ + ": expected NCHW input, got " +
+    throw std::invalid_argument(name() + ": expected NCHW input, got " +
                                 x.shape().to_string());
   }
   const Index n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const Index oh = (h - window_) / stride_ + 1;
   const Index ow = (w - window_) / stride_ + 1;
   if (oh <= 0 || ow <= 0) {
-    throw std::invalid_argument(name_ + ": input too small for window");
+    throw std::invalid_argument(name() + ": input too small for window");
   }
   slot.in_shape = x.shape();
   Tensor y({n, c, oh, ow});
@@ -63,7 +63,7 @@ Tensor MaxPool2d::forward(const Tensor& x, bool /*train*/,
 
 Tensor MaxPool2d::backward(const Tensor& grad_out, TapeSlot& slot) const {
   if (static_cast<std::size_t>(grad_out.numel()) != slot.indices.size()) {
-    throw std::invalid_argument(name_ + ": grad size mismatch");
+    throw std::invalid_argument(name() + ": grad size mismatch");
   }
   Tensor gx(slot.in_shape);
   float* g = gx.data();

@@ -14,15 +14,13 @@ class MaxPool2d : public Layer {
 
   Tensor forward(const Tensor& x, bool train, TapeSlot& slot) const override;
   Tensor backward(const Tensor& grad_out, TapeSlot& slot) const override;
-  std::string name() const override { return name_; }
   std::unique_ptr<Layer> clone() const override {
-    return std::make_unique<MaxPool2d>(window_, stride_, name_);
+    return std::make_unique<MaxPool2d>(window_, stride_, name());
   }
 
  private:
   tensor::Index window_;
   tensor::Index stride_;
-  std::string name_;
 };
 
 }  // namespace con::nn

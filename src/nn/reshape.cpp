@@ -11,7 +11,7 @@ using tensor::Shape;
 
 Tensor Flatten::forward(const Tensor& x, bool /*train*/, TapeSlot& slot) const {
   if (x.rank() < 2) {
-    throw std::invalid_argument(name_ + ": expected rank >= 2");
+    throw std::invalid_argument(name() + ": expected rank >= 2");
   }
   slot.in_shape = x.shape();
   return x.reshaped(Shape{{x.dim(0), x.numel() / x.dim(0)}});
@@ -23,9 +23,9 @@ Tensor Flatten::backward(const Tensor& grad_out, TapeSlot& slot) const {
 
 Dropout::Dropout(double drop_probability, std::uint64_t seed,
                  std::string layer_name)
-    : p_(drop_probability), name_(std::move(layer_name)), rng_(seed) {
+    : Layer(std::move(layer_name)), p_(drop_probability), rng_(seed) {
   if (p_ < 0.0 || p_ >= 1.0) {
-    throw std::invalid_argument(name_ + ": drop probability must be in [0,1)");
+    throw std::invalid_argument(name() + ": drop probability must be in [0,1)");
   }
 }
 
@@ -48,7 +48,7 @@ Tensor Dropout::backward(const Tensor& grad_out, TapeSlot& slot) const {
 }
 
 std::unique_ptr<Layer> Dropout::clone() const {
-  auto copy = std::make_unique<Dropout>(p_, 0, name_);
+  auto copy = std::make_unique<Dropout>(p_, 0, name());
   copy->rng_ = rng_;
   return copy;
 }

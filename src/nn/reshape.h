@@ -11,17 +11,13 @@ namespace con::nn {
 class Flatten : public Layer {
  public:
   explicit Flatten(std::string layer_name = "flatten")
-      : name_(std::move(layer_name)) {}
+      : Layer(std::move(layer_name)) {}
 
   Tensor forward(const Tensor& x, bool train, TapeSlot& slot) const override;
   Tensor backward(const Tensor& grad_out, TapeSlot& slot) const override;
-  std::string name() const override { return name_; }
   std::unique_ptr<Layer> clone() const override {
-    return std::make_unique<Flatten>(name_);
+    return std::make_unique<Flatten>(name());
   }
-
- private:
-  std::string name_;
 };
 
 // Inverted dropout: active only when train=true. The RNG is owned by the
@@ -36,12 +32,10 @@ class Dropout : public Layer {
 
   Tensor forward(const Tensor& x, bool train, TapeSlot& slot) const override;
   Tensor backward(const Tensor& grad_out, TapeSlot& slot) const override;
-  std::string name() const override { return name_; }
   std::unique_ptr<Layer> clone() const override;
 
  private:
   double p_;
-  std::string name_;
   // conlint:allow(layer-reentrancy): dropout draws only in train-mode forwards, which are single-threaded by contract
   mutable con::util::Rng rng_;
 };

@@ -12,8 +12,19 @@ void Sequential::insert(std::size_t index, std::unique_ptr<Layer> layer) {
   if (index > layers_.size()) {
     throw std::out_of_range("Sequential::insert: index out of range");
   }
-  layers_.insert(layers_.begin() + static_cast<std::ptrdiff_t>(index),
-                 std::move(layer));
+  const auto at = static_cast<std::ptrdiff_t>(index);
+  timers_.insert(timers_.begin() + at,
+                 {&obs::histogram(layer->name() + ".forward_ns"),
+                  &obs::histogram(layer->name() + ".backward_ns")});
+  layers_.insert(layers_.begin() + at, std::move(layer));
+}
+
+Tensor Sequential::forward_layer(std::size_t i, const Tensor& x, bool train,
+                                 ForwardTape& tape) const {
+  const Layer& layer = *layers_.at(i);
+  obs::Span span(layer.name(), "fwd");
+  obs::ScopedTimer timer(*timers_[i].forward_ns);
+  return layer.forward(x, train, tape.slot(i));
 }
 
 Tensor Sequential::forward(const Tensor& x, bool train,
@@ -25,9 +36,9 @@ Tensor Sequential::forward(const Tensor& x, bool train,
   obs::Span span(name_, "forward");
   static obs::Counter& calls = obs::counter("model.forward_calls");
   calls.add(1);
-  Tensor h = layers_[0]->forward(x, train, tape.slot(0));
+  Tensor h = forward_layer(0, x, train, tape);
   for (std::size_t i = 1; i < layers_.size(); ++i) {
-    h = layers_[i]->forward(h, train, tape.slot(i));
+    h = forward_layer(i, h, train, tape);
   }
   return h;
 }
@@ -42,11 +53,15 @@ Tensor Sequential::backward(const Tensor& grad_logits,
   obs::Span span(name_, "backward");
   static obs::Counter& calls = obs::counter("model.backward_calls");
   calls.add(1);
+  const auto backward_layer = [&](std::size_t i, const Tensor& g) {
+    const Layer& layer = *layers_[i];
+    obs::Span layer_span(layer.name(), "bwd");
+    obs::ScopedTimer timer(*timers_[i].backward_ns);
+    return layer.backward(g, tape.slot(i));
+  };
   const std::size_t last = layers_.size() - 1;
-  Tensor g = layers_[last]->backward(grad_logits, tape.slot(last));
-  for (std::size_t i = last; i-- > 0;) {
-    g = layers_[i]->backward(g, tape.slot(i));
-  }
+  Tensor g = backward_layer(last, grad_logits);
+  for (std::size_t i = last; i-- > 0;) g = backward_layer(i, g);
   return g;
 }
 

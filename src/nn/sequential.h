@@ -6,6 +6,11 @@
 // model concurrently (see nn/layer.h for the full contract). The
 // tape-less forward/backward overloads are a single-threaded convenience
 // backed by an internal scratch tape.
+//
+// Sequential is the one timing site for layers: every layer call runs
+// inside a "<layer>.fwd"/".bwd" span and records its wall time into the
+// "<layer>.forward_ns"/".backward_ns" histograms, resolved once when the
+// layer is added.
 #pragma once
 
 #include <memory>
@@ -14,6 +19,10 @@
 
 #include "nn/layer.h"
 #include "nn/tape.h"
+
+namespace con::obs {
+class Histogram;
+}  // namespace con::obs
 
 namespace con::nn {
 
@@ -28,13 +37,15 @@ class Sequential {
   Sequential(const Sequential&) = delete;
   Sequential& operator=(const Sequential&) = delete;
 
-  void add(std::unique_ptr<Layer> layer) { layers_.push_back(std::move(layer)); }
+  void add(std::unique_ptr<Layer> layer) {
+    insert(layers_.size(), std::move(layer));
+  }
 
   template <typename L, typename... Args>
   L& emplace(Args&&... args) {
     auto layer = std::make_unique<L>(std::forward<Args>(args)...);
     L& ref = *layer;
-    layers_.push_back(std::move(layer));
+    add(std::move(layer));
     return ref;
   }
 
@@ -49,6 +60,10 @@ class Sequential {
   // Gradient of the loss w.r.t. the model input; parameter grads accumulate
   // iff tape.accumulate_param_grads().
   Tensor backward(const Tensor& grad_logits, ForwardTape& tape) const;
+  // Layer i's forward alone, timed like a step of forward(): for callers
+  // that read intermediate activations.
+  Tensor forward_layer(std::size_t i, const Tensor& x, bool train,
+                       ForwardTape& tape) const;
 
   // Single-threaded convenience overloads backed by an internal scratch
   // tape. NOT safe to call concurrently on a shared model.
@@ -81,6 +96,12 @@ class Sequential {
  private:
   std::string name_ = "model";
   std::vector<std::unique_ptr<Layer>> layers_;
+  // Per-layer latency histograms, parallel to layers_.
+  struct LayerTimers {
+    obs::Histogram* forward_ns;
+    obs::Histogram* backward_ns;
+  };
+  std::vector<LayerTimers> timers_;
   // Backs the tape-less convenience overloads only.
   ForwardTape scratch_tape_;
 };

@@ -1,6 +1,5 @@
 #include "obs/manifest.h"
 
-#include <cmath>
 #include <cstdio>
 #include <ctime>
 
@@ -28,43 +27,22 @@ const std::string& git_describe() {
   return described;
 }
 
-Json counters_json(
+Json metrics_json(
     const MetricsSnapshot& snap,
     const std::vector<std::pair<std::string, std::uint64_t>>& extra_counters) {
   Json counters = Json::object();
   for (const auto& [name, value] : snap.counters) counters.set(name, value);
   for (const auto& [name, value] : extra_counters) counters.set(name, value);
-  return counters;
-}
-
-Json distributions_json(const MetricsSnapshot& snap) {
-  Json dists = Json::object();
-  for (const auto& d : snap.distributions) {
-    Json entry = Json::object();
-    entry.set("count", d.count);
-    entry.set("sum", d.sum);
-    entry.set("min", d.min);
-    entry.set("max", d.max);
-    const double mean =
-        d.count == 0 ? 0.0 : d.sum / static_cast<double>(d.count);
-    entry.set("mean", mean);
-    const double var =
-        d.count == 0
-            ? 0.0
-            : d.sumsq / static_cast<double>(d.count) - mean * mean;
-    entry.set("stddev", var > 0.0 ? std::sqrt(var) : 0.0);
-    dists.set(d.name, std::move(entry));
-  }
-  return dists;
-}
-
-Json histograms_json(const MetricsSnapshot& snap) {
   Json hists = Json::object();
   for (const auto& h : snap.histograms) {
     Json entry = Json::object();
     std::uint64_t total = 0;
     for (const std::uint64_t c : h.buckets) total += c;
     entry.set("count", total);
+    entry.set("sum", h.sum);
+    entry.set("mean", total == 0 ? 0.0
+                                 : static_cast<double>(h.sum) /
+                                       static_cast<double>(total));
     entry.set("p50", Histogram::percentile_of(h.buckets, 0.50));
     entry.set("p90", Histogram::percentile_of(h.buckets, 0.90));
     entry.set("p99", Histogram::percentile_of(h.buckets, 0.99));
@@ -80,7 +58,10 @@ Json histograms_json(const MetricsSnapshot& snap) {
     entry.set("buckets", std::move(buckets));
     hists.set(h.name, std::move(entry));
   }
-  return hists;
+  Json metrics = Json::object();
+  metrics.set("counters", std::move(counters));
+  metrics.set("histograms", std::move(hists));
+  return metrics;
 }
 
 Json manifest_json(const RunManifest& m) {
@@ -113,12 +94,7 @@ Json manifest_json(const RunManifest& m) {
   trace.set("dropped_by_thread", std::move(by_thread));
   doc.set("trace", std::move(trace));
 
-  const MetricsSnapshot snap = snapshot_metrics();
-  Json metrics = Json::object();
-  metrics.set("counters", counters_json(snap, m.extra_counters));
-  metrics.set("distributions", distributions_json(snap));
-  metrics.set("histograms", histograms_json(snap));
-  doc.set("metrics", std::move(metrics));
+  doc.set("metrics", metrics_json(snapshot_metrics(), m.extra_counters));
   return doc;
 }
 

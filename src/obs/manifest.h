@@ -4,7 +4,7 @@
 // A manifest answers "what exactly did this run do": the resolved
 // configuration (flags, seed, thread count, baseline cache key), the build
 // (git describe), wall time, and a full metrics snapshot (every counter and
-// distribution in the registry at write time). Two runs are comparable iff
+// histogram in the registry at write time). Two runs are comparable iff
 // their config sections match; the counter section is then expected to be
 // identical for any --threads value (see metrics.h).
 #pragma once
@@ -31,23 +31,19 @@ struct RunManifest {
 };
 
 // The manifest as a JSON tree: name, timestamp, git, wall time, threads,
-// config object, trace drop accounting, metrics {counters, distributions,
-// histograms}.
+// config object, trace drop accounting, metrics {counters, histograms}.
 Json manifest_json(const RunManifest& m);
 
-// Section emitters, shared between manifests, the telemetry sampler and the
-// stats server so "the same snapshot" really is byte-identical wherever it
-// is serialized. counters_json appends `extra_counters` after the sorted
-// registry counters, exactly like the manifest's counter section.
-Json counters_json(
+// The {counters, histograms} object every metrics consumer receives: the
+// manifest, the telemetry sampler's final record and the stats server all
+// serialize it, so "the same snapshot" really is byte-identical wherever it
+// is written. `extra_counters` follow the sorted registry counters.
+// Histogram entries carry count, the exact sum and its mean,
+// p50/p90/p99/p999 upper-bucket-bound percentiles, and the non-zero buckets
+// as [index, count] pairs.
+Json metrics_json(
     const MetricsSnapshot& snap,
     const std::vector<std::pair<std::string, std::uint64_t>>& extra_counters);
-// Distributions carry count/sum/min/max plus derived mean and stddev (both
-// 0 when empty; stddev is the population form sqrt(E[x²] − E[x]²)).
-Json distributions_json(const MetricsSnapshot& snap);
-// Histograms carry total count, p50/p90/p99/p999 upper-bucket-bound
-// percentiles, and the non-zero buckets as [index, count] pairs.
-Json histograms_json(const MetricsSnapshot& snap);
 
 // Writes manifest_json() pretty-printed to <dir>/<name>_manifest.json and
 // returns the path ("" on I/O failure).

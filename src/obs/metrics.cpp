@@ -1,6 +1,5 @@
 #include "obs/metrics.h"
 
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -16,65 +15,6 @@ std::atomic<bool> g_metrics{true};
 // conlint:lockfree(writes the standalone enable flag; record sites poll it and tolerate one stale observation)
 void set_metrics(bool enabled) {
   detail::g_metrics.store(enabled, std::memory_order_relaxed);
-}
-
-namespace {
-
-// CAS loops instead of std::atomic<double>::fetch_add so the same code
-// serves min/max and stays portable across libstdc++ versions.
-// conlint:lockfree(single-slot CAS retry loop; the CAS itself carries the atomicity, no cross-slot ordering is needed)
-void atomic_add(std::atomic<double>& a, double x) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (!a.compare_exchange_weak(cur, cur + x, std::memory_order_relaxed)) {
-  }
-}
-
-// conlint:lockfree(single-slot CAS retry loop; the CAS itself carries the atomicity, no cross-slot ordering is needed)
-void atomic_min(std::atomic<double>& a, double x) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (x < cur &&
-         !a.compare_exchange_weak(cur, x, std::memory_order_relaxed)) {
-  }
-}
-
-// conlint:lockfree(single-slot CAS retry loop; the CAS itself carries the atomicity, no cross-slot ordering is needed)
-void atomic_max(std::atomic<double>& a, double x) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (x > cur &&
-         !a.compare_exchange_weak(cur, x, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
-Distribution::Distribution()
-    : min_(std::numeric_limits<double>::infinity()),
-      max_(-std::numeric_limits<double>::infinity()) {}
-
-void Distribution::record(double x) {
-  if (!metrics_enabled()) return;
-  count_.fetch_add(1, std::memory_order_relaxed);
-  atomic_add(sum_, x);
-  atomic_add(sumsq_, x * x);
-  atomic_min(min_, x);
-  atomic_max(max_, x);
-}
-
-double Distribution::min() const {
-  return count() == 0 ? 0.0 : min_.load(std::memory_order_relaxed);
-}
-double Distribution::max() const {
-  return count() == 0 ? 0.0 : max_.load(std::memory_order_relaxed);
-}
-
-void Distribution::reset() {
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  sumsq_.store(0.0, std::memory_order_relaxed);
-  min_.store(std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-  max_.store(-std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
 }
 
 std::uint64_t Histogram::count() const {
@@ -114,46 +54,22 @@ std::uint64_t Histogram::percentile_of(
 
 void Histogram::reset() {
   for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
+  sum_.store(0, std::memory_order_relaxed);
 }
 
-ScopedTimer::ScopedTimer(Distribution* d, Histogram* h) {
+ScopedTimer::ScopedTimer(Histogram& h) {
   if (!metrics_enabled()) return;
-  dist_ = d;
-  hist_ = h;
+  hist_ = &h;
   start_ns_ = now_ns();
 }
 
 ScopedTimer::~ScopedTimer() {
-  if (dist_ == nullptr && hist_ == nullptr) return;
-  const std::uint64_t ns = now_ns() - start_ns_;
-  if (dist_ != nullptr) dist_->record(static_cast<double>(ns) * 1e-9);
-  if (hist_ != nullptr) hist_->record(ns);
-}
-
-Distribution& LazyDist::get(const std::string& name) {
-  Distribution* d = cached_.load(std::memory_order_acquire);
-  if (d == nullptr) {
-    // Racing resolvers agree: the registry hands every thread the same
-    // entry for a given name.
-    d = &MetricsRegistry::instance().distribution(name);
-    cached_.store(d, std::memory_order_release);
-  }
-  return *d;
-}
-
-Histogram& LazyHist::get(const std::string& name) {
-  Histogram* h = cached_.load(std::memory_order_acquire);
-  if (h == nullptr) {
-    h = &MetricsRegistry::instance().histogram(name);
-    cached_.store(h, std::memory_order_release);
-  }
-  return *h;
+  if (hist_ != nullptr) hist_->record(now_ns() - start_ns_);
 }
 
 struct MetricsRegistry::Impl {
   mutable std::mutex mu;
   std::map<std::string, std::unique_ptr<Counter>> counters;
-  std::map<std::string, std::unique_ptr<Distribution>> dists;
   std::map<std::string, std::unique_ptr<Histogram>> hists;
 };
 
@@ -175,14 +91,6 @@ Counter& MetricsRegistry::counter(const std::string& name) {
   return *slot;
 }
 
-Distribution& MetricsRegistry::distribution(const std::string& name) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  auto& slot = im.dists[name];
-  if (slot == nullptr) slot = std::make_unique<Distribution>();
-  return *slot;
-}
-
 Histogram& MetricsRegistry::histogram(const std::string& name) {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
@@ -199,14 +107,9 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (const auto& [name, c] : im.counters) {
     snap.counters.emplace_back(name, c->value());
   }
-  snap.distributions.reserve(im.dists.size());
-  for (const auto& [name, d] : im.dists) {
-    snap.distributions.push_back(
-        {name, d->count(), d->sum(), d->sum_squares(), d->min(), d->max()});
-  }
   snap.histograms.reserve(im.hists.size());
   for (const auto& [name, h] : im.hists) {
-    snap.histograms.push_back({name, h->buckets()});
+    snap.histograms.push_back({name, h->buckets(), h->sum()});
   }
   return snap;
 }
@@ -215,7 +118,6 @@ void MetricsRegistry::reset() {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
   for (auto& [name, c] : im.counters) c->reset();
-  for (auto& [name, d] : im.dists) d->reset();
   for (auto& [name, h] : im.hists) h->reset();
 }
 

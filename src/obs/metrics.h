@@ -1,24 +1,24 @@
-// Process-wide named counters and distributions.
+// Process-wide named counters and histograms.
 //
-// Call sites cache a reference once and then pay one relaxed atomic RMW per
+// Call sites cache a reference once and then pay relaxed atomic RMWs per
 // update (plus a relaxed enabled-load — `--no-metrics` turns recording into
 // a branch):
 //
 //   static obs::Counter& c = obs::counter("gemm.dispatch.blocked");
 //   c.add(1);
 //
-// Counters are monotonic u64 totals; distributions accumulate
-// count/sum/min/max of double observations (timings, active-set sizes).
-// Registry entries are created on first use and never removed, so cached
-// references stay valid for the process lifetime; reset_metrics() zeroes
-// values in place for before/after measurements.
+// Counters are monotonic u64 totals; histograms bucket u64 observations
+// (nanosecond timings, active-set sizes) and keep their exact sum. Registry
+// entries are created on first use and never removed, so cached references
+// stay valid for the process lifetime; reset_metrics() zeroes values in
+// place for before/after measurements.
 //
 // Determinism: counters incremented per unit of work (per GEMM call, per
 // attack iteration, per cache miss) total the same for any --threads value,
 // because the work decomposition never depends on the thread count (DESIGN
-// §5). Distributions of integer-valued observations share the property
-// (double sums of small integers are exact in any order); timing
-// distributions obviously do not, and the manifest comparison tooling only
+// §5). Histograms of integer-valued observations share the property — the
+// bucket vector and the sum are exact integer sums in any order; timing
+// histograms obviously do not, and the manifest comparison tooling only
 // compares counters.
 #pragma once
 
@@ -53,48 +53,19 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-// conlint:lockfree(independent per-field accumulators; snapshots tolerate torn cross-field reads, per-field sums stay exact)
-class Distribution {
- public:
-  Distribution();
-
-  void record(double x);
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
-  // Sum of squared observations; with count/sum it yields mean and stddev
-  // in snapshots. Exact in any accumulation order for small-integer
-  // observations, like sum (the counter-section determinism contract above
-  // is unaffected: comparisons still only cover counters).
-  double sum_squares() const {
-    return sumsq_.load(std::memory_order_relaxed);
-  }
-  // Min/max of recorded values; 0.0 when nothing was recorded.
-  double min() const;
-  double max() const;
-  void reset();
-
- private:
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> sumsq_{0.0};
-  // +/-infinity sentinels until the first observation; the accessors
-  // translate the empty state to 0.0.
-  std::atomic<double> min_;
-  std::atomic<double> max_;
-};
-
-// Fixed-bucket log2-spaced histogram for hot-path latency/size telemetry.
+// Fixed-bucket log2-spaced histogram with an exact sum: the one metric kind
+// for hot-path latency/size telemetry.
 //
 // Bucket i counts observations v with bucket_index(v) == i: bucket 0 holds
 // v == 0, bucket i (1 <= i < kHistogramBuckets-1) holds
 // 2^(i-1) <= v < 2^i, and the last bucket absorbs everything larger.
-// record() is lock-free and allocation-free — one relaxed fetch_add on a
-// fixed slot (plus the enabled load) — so it is safe inside GEMM panels
-// and attack inner loops. Because bucket counts are exact integer sums,
-// the full bucket vector is byte-identical for any --threads value on
+// record() is lock-free and allocation-free — two relaxed fetch_adds on
+// fixed slots (plus the enabled load) — so it is safe inside GEMM panels
+// and attack inner loops. Because bucket counts and the sum are exact
+// integer sums, both are byte-identical for any --threads value on
 // integer-valued observations (same multiset of observations, any order),
 // extending the counter determinism contract to shape, not just totals.
-// conlint:lockfree(fixed atomic bucket slots; exact integer sums in any interleaving, readers tolerate in-flight records)
+// conlint:lockfree(fixed atomic bucket and sum slots; exact integer sums in any interleaving, readers tolerate in-flight records)
 class Histogram {
  public:
   static constexpr std::size_t kHistogramBuckets = 64;
@@ -102,6 +73,7 @@ class Histogram {
   void record(std::uint64_t v) {
     if (metrics_enabled()) {
       counts_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
+      sum_.fetch_add(v, std::memory_order_relaxed);
     }
   }
   // Double observations are rounded to the nearest integer (negative
@@ -125,6 +97,8 @@ class Histogram {
   }
 
   std::uint64_t count() const;
+  // Exact sum of every recorded value (total nanoseconds for a timer).
+  std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
   std::uint64_t bucket(std::size_t i) const {
     return counts_[i].load(std::memory_order_relaxed);
   }
@@ -142,78 +116,34 @@ class Histogram {
 
  private:
   std::atomic<std::uint64_t> counts_[kHistogramBuckets] = {};
+  std::atomic<std::uint64_t> sum_{0};
 };
 
-// Scoped wall-time observation: on destruction records seconds into the
-// distribution and/or whole nanoseconds into the histogram (integer-valued,
-// so histogram bucket vectors stay thread-count deterministic only for
-// deterministic workloads — timings are not, and comparisons skip them).
-// Costs nothing but the enabled check when metrics are off.
+// Scoped wall-time observation: on destruction records whole nanoseconds
+// into the histogram (timings are not thread-count deterministic, and
+// comparisons skip them). Costs nothing but the enabled check when metrics
+// are off.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(Distribution& d) : ScopedTimer(&d, nullptr) {}
-  explicit ScopedTimer(Histogram& h) : ScopedTimer(nullptr, &h) {}
-  ScopedTimer(Distribution& d, Histogram& h) : ScopedTimer(&d, &h) {}
+  explicit ScopedTimer(Histogram& h);
   ~ScopedTimer();
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
-  ScopedTimer(Distribution* d, Histogram* h);
-
-  Distribution* dist_ = nullptr;
   Histogram* hist_ = nullptr;
   std::uint64_t start_ns_ = 0;
 };
 
-// Lazily-resolved distribution handle for per-instance metric names (e.g. a
-// layer's "<name>.forward_s"). Copyable: copies reset the cached pointer,
-// and since registry entries are keyed by name, a clone resolving the same
-// name lands on the same distribution.
-// conlint:lockfree(pointer cache over idempotent name lookup; racing fills resolve to the same registry entry)
-class LazyDist {
- public:
-  LazyDist() = default;
-  LazyDist(const LazyDist&) {}
-  LazyDist& operator=(const LazyDist&) { return *this; }
-
-  Distribution& get(const std::string& name);
-
- private:
-  std::atomic<Distribution*> cached_{nullptr};
-};
-
-// Lazily-resolved histogram handle, same contract as LazyDist.
-// conlint:lockfree(pointer cache over idempotent name lookup; racing fills resolve to the same registry entry)
-class LazyHist {
- public:
-  LazyHist() = default;
-  LazyHist(const LazyHist&) {}
-  LazyHist& operator=(const LazyHist&) { return *this; }
-
-  Histogram& get(const std::string& name);
-
- private:
-  std::atomic<Histogram*> cached_{nullptr};
-};
-
 struct MetricsSnapshot {
-  struct DistValue {
-    std::string name;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double sumsq = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-  };
   struct HistValue {
     std::string name;
     // All kHistogramBuckets slots, in bucket order.
     std::vector<std::uint64_t> buckets;
+    std::uint64_t sum = 0;
   };
   // Sorted by name.
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<DistValue> distributions;
   std::vector<HistValue> histograms;
 };
 
@@ -223,7 +153,6 @@ class MetricsRegistry {
 
   // Stable references, created on first use. Safe from any thread.
   Counter& counter(const std::string& name);
-  Distribution& distribution(const std::string& name);
   Histogram& histogram(const std::string& name);
 
   MetricsSnapshot snapshot() const;
@@ -240,9 +169,6 @@ class MetricsRegistry {
 // Convenience forwarders.
 inline Counter& counter(const std::string& name) {
   return MetricsRegistry::instance().counter(name);
-}
-inline Distribution& dist(const std::string& name) {
-  return MetricsRegistry::instance().distribution(name);
 }
 inline Histogram& histogram(const std::string& name) {
   return MetricsRegistry::instance().histogram(name);

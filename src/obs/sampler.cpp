@@ -80,18 +80,15 @@ void Sampler::finish(
   if (thread_.joinable()) thread_.join();
   finished_ = true;
 
-  // The final record: full counter totals (identical bytes to the run
-  // manifest's metrics.counters for the same snapshot + extras), plus the
-  // distribution and histogram sections and trace drop count.
-  const MetricsSnapshot snap = snapshot_metrics();
+  // The final record: the full metrics object (its counters are identical
+  // bytes to the run manifest's metrics.counters for the same snapshot +
+  // extras) and the trace drop count.
   Json rec = Json::object();
   rec.set("seq", static_cast<std::int64_t>(seq_));
   rec.set("final", true);
   rec.set("elapsed_s", elapsed_seconds());
   rec.set("phase", current_phase());
-  rec.set("counters", counters_json(snap, extra_counters));
-  rec.set("distributions", distributions_json(snap));
-  rec.set("histograms", histograms_json(snap));
+  rec.set("metrics", metrics_json(snapshot_metrics(), extra_counters));
   rec.set("trace_dropped", trace_dropped_count());
   write_line(rec.dump());
   ++seq_;

@@ -7,7 +7,7 @@
 //
 //   periodic  {"seq":N,"elapsed_s":T,"phase":"...","counters_delta":{...}}
 //   final     {"seq":N,"final":true,"elapsed_s":T,"phase":"...",
-//              "counters":{...},"distributions":{...},"histograms":{...},
+//              "metrics":{"counters":{...},"histograms":{...}},
 //              "trace_dropped":D}
 //
 // Sequence numbers are monotonic from 0 with no gaps. Periodic records
@@ -18,10 +18,10 @@
 // Quiesce contract: the owner stops all parallel work, then calls
 // finish(extra_counters) exactly once — it joins the sampling thread and
 // appends the final record from the calling thread. Because the final
-// record's "counters" object is built by the same counters_json() the run
-// manifest uses, over a snapshot taken after quiesce, it is byte-identical
-// to the manifest's metrics.counters section for the same run (the
-// obs_validate --telemetry --manifest cross-check pins this).
+// record's "metrics" object is built by the same metrics_json() the run
+// manifest uses, over a snapshot taken after quiesce, its counters are
+// byte-identical to the manifest's metrics.counters section for the same
+// run (the obs_validate --telemetry --manifest cross-check pins this).
 #pragma once
 
 #include <condition_variable>

@@ -65,12 +65,7 @@ std::string StatsServer::snapshot_response(const Info& info) {
   doc.set("phase", current_phase());
   doc.set("trace_events", static_cast<std::int64_t>(trace_event_count()));
   doc.set("trace_dropped", trace_dropped_count());
-  const MetricsSnapshot snap = snapshot_metrics();
-  Json metrics = Json::object();
-  metrics.set("counters", counters_json(snap, {}));
-  metrics.set("distributions", distributions_json(snap));
-  metrics.set("histograms", histograms_json(snap));
-  doc.set("metrics", std::move(metrics));
+  doc.set("metrics", metrics_json(snapshot_metrics(), {}));
   return doc.dump(/*indent=*/2) + "\n";
 }
 
@@ -84,7 +79,10 @@ void StatsServer::serve() {
     const std::string body = snapshot_response(info_);
     std::size_t off = 0;
     while (off < body.size()) {
-      const ssize_t n = ::write(client, body.data() + off, body.size() - off);
+      // MSG_NOSIGNAL: a client that hangs up before reading must cost an
+      // EPIPE here, not a SIGPIPE that kills the run.
+      const ssize_t n = ::send(client, body.data() + off, body.size() - off,
+                               MSG_NOSIGNAL);
       if (n <= 0) break;
       off += static_cast<std::size_t>(n);
     }

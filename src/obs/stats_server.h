@@ -6,9 +6,9 @@
 // client connects, the server writes one pretty-printed JSON document and
 // closes. The document carries process info (pid, run name, thread count,
 // elapsed seconds, active phase, trace event/drop counts) plus the same
-// metrics sections the run manifest ends with (counters / distributions /
-// histograms via the shared manifest.h emitters), serialized from a live
-// snapshot at accept time.
+// metrics object the run manifest ends with (counters / histograms via the
+// shared manifest.h metrics_json), serialized from a live snapshot at
+// accept time.
 //
 // The accept loop runs on its own background thread, polling with a short
 // timeout so stop() takes effect promptly; serving never touches the hot

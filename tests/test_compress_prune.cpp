@@ -7,6 +7,8 @@
 #include "models/model_zoo.h"
 #include "nn/linear.h"
 #include "nn/trainer.h"
+#include "obs/json.h"
+#include "obs/obs.h"
 #include "tensor/ops.h"
 #include "test_helpers.h"
 
@@ -199,6 +201,41 @@ TEST(MakePrunedModel, ZeroEpochsSkipsTraining) {
   FineTuneConfig ft{.epochs = 0};
   nn::Sequential pruned = make_pruned_model(base, train, 0.3, ft);
   EXPECT_NEAR(pruned.density(), 0.3, 0.05);
+}
+
+// Fine-tuning is a named phase in a trace: one "<variant>.finetune" span
+// that encloses the layer spans of its training passes.
+TEST(MakePrunedModel, FineTuneLeavesOneSpanAroundItsLayerSpans) {
+  nn::Sequential base = models::make_lenet5_small(17);
+  data::Dataset train{random_batch(Shape{8, 1, 28, 28}, 18),
+                      {0, 1, 2, 3, 4, 5, 6, 7}};
+  FineTuneConfig ft{.epochs = 1, .batch_size = 8};
+  obs::set_tracing(true);
+  obs::clear_trace();
+  nn::Sequential pruned = make_pruned_model(base, train, 0.5, ft);
+  obs::set_tracing(false);
+  const obs::Json doc = obs::parse_json(obs::chrome_trace_json());
+  obs::clear_trace();
+
+  const std::string finetune = pruned.name() + ".finetune";
+  std::vector<const obs::Json*> finetunes, layers;
+  for (const obs::Json& e : doc.find("traceEvents")->items()) {
+    if (e.find("ph")->as_string() != "X" ||
+        e.find("tid")->as_int() != obs::this_thread_id()) {
+      continue;
+    }
+    const std::string& name = e.find("name")->as_string();
+    if (name == finetune) finetunes.push_back(&e);
+    if (name == "conv1.fwd" || name == "relu1.bwd") layers.push_back(&e);
+  }
+  ASSERT_EQ(finetunes.size(), 1u);
+  ASSERT_FALSE(layers.empty());
+  const double ts = finetunes[0]->find("ts")->as_double();
+  const double end = ts + finetunes[0]->find("dur")->as_double();
+  for (const obs::Json* e : layers) {
+    EXPECT_GE(e->find("ts")->as_double(), ts);
+    EXPECT_LE(e->find("ts")->as_double() + e->find("dur")->as_double(), end);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
+#include "models/model_zoo.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
@@ -7,6 +11,9 @@
 #include "nn/pooling.h"
 #include "nn/reshape.h"
 #include "nn/sequential.h"
+#include "obs/json.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "tensor/ops.h"
 #include "test_helpers.h"
 
@@ -322,6 +329,52 @@ TEST(SequentialTest, DensityReflectsMasks) {
   fc.weight().mask = Tensor(fc.weight().value.shape(), 1.0f);
   for (Index i = 0; i < 50; ++i) fc.weight().mask[i] = 0.0f;
   EXPECT_DOUBLE_EQ(m.density(), 0.5);
+}
+
+// Sequential is the one timing site: one forward and one backward through
+// lenet5-small record exactly one observation per layer in
+// "<layer>.forward_ns" / ".backward_ns" — ReLU, pooling and Flatten
+// included — and, traced, exactly one "<layer>.fwd" / ".bwd" span each.
+TEST(SequentialTest, TimesEveryLayerOnceWithOneSpanEach) {
+  Sequential m = models::make_lenet5_small(44);
+  obs::reset_metrics();
+  obs::set_tracing(true);
+  obs::clear_trace();
+  ForwardTape tape;
+  const Tensor logits = m.forward(random_batch(Shape{2, 1, 28, 28}, 45),
+                                  /*train=*/false, tape);
+  m.backward(Tensor(logits.shape(), 1.0f), tape);
+  obs::set_tracing(false);
+
+  std::map<std::string, int> spans;
+  const obs::Json doc = obs::parse_json(obs::chrome_trace_json());
+  for (const obs::Json& e : doc.find("traceEvents")->items()) {
+    if (e.find("ph")->as_string() == "X" &&
+        e.find("tid")->as_int() == obs::this_thread_id()) {
+      ++spans[e.find("name")->as_string()];
+    }
+  }
+  obs::clear_trace();
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < m.num_layers(); ++i) {
+    const std::string& name = m.layer(i).name();
+    names.push_back(name);
+    EXPECT_EQ(obs::histogram(name + ".forward_ns").count(), 1u) << name;
+    EXPECT_EQ(obs::histogram(name + ".backward_ns").count(), 1u) << name;
+    EXPECT_EQ(spans[name + ".fwd"], 1) << name;
+    EXPECT_EQ(spans[name + ".bwd"], 1) << name;
+  }
+  for (const char* name : {"relu1", "pool1", "flatten"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end());
+  }
+
+  // A layer inserted later gets its own timers, and the layers after it
+  // keep theirs.
+  m.insert(1, std::make_unique<ReLU>("inserted"));
+  m.forward(random_batch(Shape{1, 1, 28, 28}, 46), /*train=*/false, tape);
+  EXPECT_EQ(obs::histogram("inserted.forward_ns").count(), 1u);
+  EXPECT_EQ(obs::histogram("relu1.forward_ns").count(), 2u);
+  EXPECT_EQ(obs::histogram("fc2.forward_ns").count(), 2u);
 }
 
 }  // namespace

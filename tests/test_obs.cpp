@@ -204,11 +204,12 @@ TEST(ObsOverhead, SpansAllocateNothingWhenTracingOn) {
 
 TEST(ObsOverhead, CounterAndDistributionUpdatesAllocateNothing) {
   con::obs::Counter& c = con::obs::counter("obs_test.alloc_guard");
-  con::obs::Distribution& d = con::obs::dist("obs_test.alloc_guard_dist");
+  con::obs::Histogram& h = con::obs::histogram("obs_test.alloc_guard_hist");
   const std::uint64_t before = allocation_count();
   for (int i = 0; i < 1000; ++i) {
     c.add(1);
-    d.record(static_cast<double>(i));
+    h.record(static_cast<std::uint64_t>(i));
+    con::obs::ScopedTimer t(h);
   }
   EXPECT_EQ(allocation_count() - before, 0u);
 }
@@ -230,36 +231,25 @@ TEST(ObsMetrics, CountersAccumulateAndReset) {
 TEST(ObsMetrics, DisablingMetricsTurnsUpdatesIntoNoops) {
   con::obs::reset_metrics();
   con::obs::Counter& c = con::obs::counter("obs_test.gated");
-  con::obs::Distribution& d = con::obs::dist("obs_test.gated_dist");
+  con::obs::Histogram& h = con::obs::histogram("obs_test.gated_hist");
   con::obs::set_metrics(false);
   c.add(5);
-  d.record(1.0);
+  h.record(std::uint64_t{1});
+  { con::obs::ScopedTimer t(h); }
   con::obs::set_metrics(true);
   EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(d.count(), 0u);
-}
-
-TEST(ObsMetrics, DistributionTracksCountSumMinMax) {
-  con::obs::reset_metrics();
-  con::obs::Distribution& d = con::obs::dist("obs_test.dist");
-  EXPECT_EQ(d.count(), 0u);
-  EXPECT_EQ(d.min(), 0.0);  // empty state reads as zero
-  EXPECT_EQ(d.max(), 0.0);
-  d.record(4.0);
-  d.record(-2.0);
-  d.record(7.0);
-  EXPECT_EQ(d.count(), 3u);
-  EXPECT_EQ(d.sum(), 9.0);
-  EXPECT_EQ(d.min(), -2.0);
-  EXPECT_EQ(d.max(), 7.0);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.sum(), 0u);
 }
 
 TEST(ObsMetrics, ScopedTimerRecordsOneObservation) {
   con::obs::reset_metrics();
-  con::obs::Distribution& d = con::obs::dist("obs_test.timer");
-  { con::obs::ScopedTimer t(d); }
-  EXPECT_EQ(d.count(), 1u);
-  EXPECT_GE(d.max(), 0.0);
+  con::obs::Histogram& h = con::obs::histogram("obs_test.timer_ns");
+  { con::obs::ScopedTimer t(h); }
+  EXPECT_EQ(h.count(), 1u);
+  // The sum is the one observation, so it lies in the observed bucket.
+  const std::size_t i = con::obs::Histogram::bucket_index(h.sum());
+  EXPECT_EQ(h.bucket(i), 1u);
 }
 
 TEST(ObsMetrics, SnapshotIsSortedByName) {
@@ -277,28 +267,18 @@ TEST(ObsMetrics, SnapshotIsSortedByName) {
 TEST(ObsMetrics, ParallelForCountsAreExact) {
   con::obs::reset_metrics();
   con::obs::Counter& c = con::obs::counter("obs_test.parallel");
-  con::obs::Distribution& d = con::obs::dist("obs_test.parallel_dist");
+  con::obs::Histogram& h = con::obs::histogram("obs_test.parallel_hist");
   const std::size_t n = 10000;
   con::util::parallel_for(0, n, [&](std::size_t i) {
     c.add(1);
-    d.record(static_cast<double>(i % 7));  // small ints: exact in any order
+    h.record(static_cast<std::uint64_t>(i % 7));
   });
   EXPECT_EQ(c.value(), n);
-  EXPECT_EQ(d.count(), n);
-  double expect_sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) expect_sum += static_cast<double>(i % 7);
-  EXPECT_EQ(d.sum(), expect_sum);
-  EXPECT_EQ(d.min(), 0.0);
-  EXPECT_EQ(d.max(), 6.0);
-}
-
-TEST(ObsMetrics, LazyDistResolvesOnceAndSurvivesCopy) {
-  con::obs::reset_metrics();
-  con::obs::LazyDist lazy;
-  lazy.get("obs_test.lazy").record(1.0);
-  con::obs::LazyDist copy = lazy;  // copy resets the cached pointer
-  copy.get("obs_test.lazy").record(2.0);
-  EXPECT_EQ(con::obs::dist("obs_test.lazy").count(), 2u);
+  EXPECT_EQ(h.count(), n);
+  std::uint64_t expect_sum = 0;
+  for (std::size_t i = 0; i < n; ++i) expect_sum += i % 7;
+  EXPECT_EQ(h.sum(), expect_sum);
+  EXPECT_EQ(h.bucket(0), (n + 6) / 7);  // every i % 7 == 0
 }
 
 // ---- JSON -------------------------------------------------------------------
@@ -347,7 +327,9 @@ TEST(ObsJson, RejectsMalformedInput) {
 TEST(ObsManifest, WritesAndParsesBack) {
   con::obs::reset_metrics();
   con::obs::counter("obs_test.manifest_counter").add(42);
-  con::obs::dist("obs_test.manifest_dist").record(1.5);
+  con::obs::Histogram& h = con::obs::histogram("obs_test.manifest_hist");
+  h.record(std::uint64_t{3});
+  h.record(std::uint64_t{6});
 
   con::obs::RunManifest m;
   m.name = "obs_test_run";
@@ -383,12 +365,14 @@ TEST(ObsManifest, WritesAndParsesBack) {
   ASSERT_NE(counters, nullptr);
   EXPECT_EQ(counters->find("obs_test.manifest_counter")->as_int(), 42);
   EXPECT_EQ(counters->find("tensor.buffer_allocations")->as_int(), 12345);
-  const Json* dists = doc.find("metrics")->find("distributions");
-  ASSERT_NE(dists, nullptr);
-  const Json* d = dists->find("obs_test.manifest_dist");
-  ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->find("count")->as_int(), 1);
-  EXPECT_EQ(d->find("sum")->as_double(), 1.5);
+  EXPECT_EQ(doc.find("metrics")->members().size(), 2u);  // one metric kind
+  const Json* hists = doc.find("metrics")->find("histograms");
+  ASSERT_NE(hists, nullptr);
+  const Json* entry = hists->find("obs_test.manifest_hist");
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->find("count")->as_int(), 2);
+  EXPECT_EQ(entry->find("sum")->as_int(), 9);
+  EXPECT_EQ(entry->find("mean")->as_double(), 4.5);
 }
 
 // ---- histograms -------------------------------------------------------------
@@ -472,6 +456,7 @@ TEST(ObsHistogram, BucketsAreIdenticalForAnyThreadCount) {
     return static_cast<std::uint64_t>((i * i + 3 * i) % 100003);
   };
   std::vector<std::vector<std::uint64_t>> results;
+  std::vector<std::uint64_t> sums;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
                                     std::size_t{8}}) {
     con::obs::Histogram& h = con::obs::histogram(
@@ -485,54 +470,15 @@ TEST(ObsHistogram, BucketsAreIdenticalForAnyThreadCount) {
     for (std::thread& w : workers) w.join();
     EXPECT_EQ(h.count(), n);
     results.push_back(h.buckets());
+    sums.push_back(h.sum());
   }
   EXPECT_EQ(results[0], results[1]);
   EXPECT_EQ(results[0], results[2]);
-}
-
-TEST(ObsMetrics, DistributionTracksSumOfSquares) {
-  con::obs::reset_metrics();
-  con::obs::Distribution& d = con::obs::dist("obs_test.sumsq");
-  d.record(1.0);
-  d.record(2.0);
-  d.record(3.0);
-  EXPECT_EQ(d.sum_squares(), 14.0);
-  con::obs::reset_metrics();
-  EXPECT_EQ(d.sum_squares(), 0.0);
-}
-
-TEST(ObsMetrics, LazyHistResolvesOnceAndSurvivesCopy) {
-  con::obs::reset_metrics();
-  con::obs::LazyHist lazy;
-  lazy.get("obs_test.lazy_hist").record(std::uint64_t{1});
-  con::obs::LazyHist copy = lazy;  // copy resets the cached pointer
-  copy.get("obs_test.lazy_hist").record(std::uint64_t{2});
-  EXPECT_EQ(con::obs::histogram("obs_test.lazy_hist").count(), 2u);
-}
-
-TEST(ObsMetrics, ScopedTimerFeedsDistributionAndHistogramTogether) {
-  con::obs::reset_metrics();
-  con::obs::Distribution& d = con::obs::dist("obs_test.timer_pair");
-  con::obs::Histogram& h = con::obs::histogram("obs_test.timer_pair_ns");
-  { con::obs::ScopedTimer t(d, h); }
-  { con::obs::ScopedTimer t(h); }
-  EXPECT_EQ(d.count(), 1u);
-  EXPECT_EQ(h.count(), 2u);
-}
-
-// ---- manifest sections ------------------------------------------------------
-
-TEST(ObsManifest, DistributionsCarryMeanAndStddev) {
-  con::obs::reset_metrics();
-  con::obs::Distribution& d = con::obs::dist("obs_test.meanstd");
-  d.record(2.0);
-  d.record(4.0);
-  const Json dists = con::obs::distributions_json(con::obs::snapshot_metrics());
-  const Json* entry = dists.find("obs_test.meanstd");
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->find("count")->as_int(), 2);
-  EXPECT_EQ(entry->find("mean")->as_double(), 3.0);
-  EXPECT_EQ(entry->find("stddev")->as_double(), 1.0);
+  std::uint64_t expect_sum = 0;
+  for (std::size_t i = 0; i < n; ++i) expect_sum += observation(i);
+  EXPECT_EQ(sums[0], expect_sum);
+  EXPECT_EQ(sums[1], sums[0]);
+  EXPECT_EQ(sums[2], sums[0]);
 }
 
 TEST(ObsManifest, HistogramsSectionListsNonZeroBuckets) {
@@ -542,10 +488,14 @@ TEST(ObsManifest, HistogramsSectionListsNonZeroBuckets) {
   h.record(std::uint64_t{1});
   h.record(std::uint64_t{1});
   h.record(std::uint64_t{8});  // bucket 4
-  const Json hists = con::obs::histograms_json(con::obs::snapshot_metrics());
-  const Json* entry = hists.find("obs_test.hist_manifest");
+  const Json metrics =
+      con::obs::metrics_json(con::obs::snapshot_metrics(), {});
+  const Json* entry =
+      metrics.find("histograms")->find("obs_test.hist_manifest");
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->find("count")->as_int(), 4);
+  EXPECT_EQ(entry->find("sum")->as_int(), 10);
+  EXPECT_EQ(entry->find("mean")->as_double(), 2.5);
   EXPECT_EQ(entry->find("p50")->as_int(), 1);
   EXPECT_EQ(entry->find("p99")->as_int(), 15);  // bucket 4 upper bound
   const auto& buckets = entry->find("buckets")->items();
@@ -677,18 +627,22 @@ TEST(ObsSampler, StreamsDeltasAndFinalSnapshotMatchesManifestBytes) {
   const Json& final_rec = records.back();
   ASSERT_NE(final_rec.find("final"), nullptr);
   EXPECT_TRUE(final_rec.find("final")->as_bool());
+  const Json* metrics = final_rec.find("metrics");
+  ASSERT_NE(metrics, nullptr);
   const std::string manifest_bytes =
-      con::obs::counters_json(con::obs::snapshot_metrics(), extras).dump();
-  EXPECT_EQ(final_rec.find("counters")->dump(), manifest_bytes);
-  ASSERT_NE(final_rec.find("distributions"), nullptr);
-  ASSERT_NE(final_rec.find("histograms"), nullptr);
+      con::obs::metrics_json(con::obs::snapshot_metrics(), extras)
+          .find("counters")
+          ->dump();
+  EXPECT_EQ(metrics->find("counters")->dump(), manifest_bytes);
+  ASSERT_NE(metrics->find("histograms"), nullptr);
   ASSERT_NE(final_rec.find("trace_dropped"), nullptr);
 }
 
 // ---- stats server -----------------------------------------------------------
 
 namespace {
-std::string query_socket(const std::string& path) {
+// A connected client socket, or -1 when nothing listens at `path`.
+int connect_socket(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   EXPECT_LT(path.size(), sizeof(addr.sun_path));
@@ -698,8 +652,14 @@ std::string query_socket(const std::string& path) {
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
       0) {
     ::close(fd);
-    return "";
+    return -1;
   }
+  return fd;
+}
+
+std::string query_socket(const std::string& path) {
+  const int fd = connect_socket(path);
+  if (fd < 0) return "";
   std::string body;
   char buf[4096];
   ssize_t n;
@@ -729,7 +689,6 @@ TEST(ObsStatsServer, ServesOneJsonSnapshotPerConnection) {
   const Json* counters = doc.find("metrics")->find("counters");
   ASSERT_NE(counters, nullptr);
   EXPECT_EQ(counters->find("obs_test.stats_counter")->as_int(), 11);
-  ASSERT_NE(doc.find("metrics")->find("distributions"), nullptr);
   ASSERT_NE(doc.find("metrics")->find("histograms"), nullptr);
   // Wait until the serve loop has accounted the request (the client sees
   // EOF slightly before the server increments), then stop: the socket must
@@ -741,6 +700,29 @@ TEST(ObsStatsServer, ServesOneJsonSnapshotPerConnection) {
   server.stop();
   EXPECT_TRUE(query_socket(path).empty());
   con::obs::set_phase("");
+}
+
+// A client that hangs up before reading must not take the run down with a
+// SIGPIPE from the server's reply; the next client is still served.
+TEST(ObsStatsServer, ClientThatHangsUpDoesNotKillTheRun) {
+  // A reply far larger than a socket buffer: the server is still sending
+  // when the client hangs up, however the two threads are scheduled.
+  for (int i = 0; i < 10000; ++i) {
+    con::obs::counter("obs_test.hangup_padding_" + std::to_string(i)).add(1);
+  }
+  const std::string path = temp_dir() + "/obs_test_hangup.sock";
+  con::obs::StatsServer server(path, {"hangup-run", 1});
+  ASSERT_TRUE(server.ok());
+  const int fd = connect_socket(path);
+  ASSERT_GE(fd, 0);
+  ::close(fd);  // hang up without reading the reply
+  for (int i = 0; i < 200 && server.requests_served() < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server.requests_served(), 1u);
+  const std::string body = query_socket(path);
+  ASSERT_FALSE(body.empty());
+  EXPECT_EQ(con::obs::parse_json(body).find("run")->as_string(), "hangup-run");
 }
 
 TEST(ObsStatsServer, OverlongSocketPathDisablesInsteadOfThrowing) {

@@ -94,15 +94,16 @@ std::map<std::string, double> bench_series(const Json& doc) {
   return out;
 }
 
-// Manifest mode: the per-name distribution sums (seconds, converted to ns
-// so --noise-floor-ns means the same thing in both modes).
+// Manifest mode: the sums of the timing histograms (names ending in "_ns",
+// already in nanoseconds, so --noise-floor-ns means the same thing in both
+// modes). Other histograms count things, not time, and are not joined.
 std::map<std::string, double> manifest_series(const Json& doc) {
   std::map<std::string, double> out;
-  const Json* dists = doc.find("metrics")->find("distributions");
-  if (dists == nullptr) return out;
-  for (const auto& [name, d] : dists->members()) {
-    const Json* sum = d.find("sum");
-    if (sum != nullptr) out[name] = sum->as_double() * 1e9;
+  const Json* hists = doc.find("metrics")->find("histograms");
+  if (hists == nullptr) return out;
+  for (const auto& [name, h] : hists->members()) {
+    const Json* sum = h.find("sum");
+    if (sum != nullptr && name.ends_with("_ns")) out[name] = sum->as_double();
   }
   return out;
 }
