@@ -160,8 +160,8 @@ BENCHMARK_CAPTURE(BM_Ifgm, cifarnet, std::string("cifarnet"))
     ->Unit(benchmark::kMillisecond);
 
 // Custom main instead of BENCHMARK_MAIN(): the obs flags (--trace,
-// --manifest, --no-metrics) must be stripped from argv before
-// benchmark::Initialize rejects them as unknown.
+// --manifest) must be stripped from argv before benchmark::Initialize
+// rejects them as unknown.
 int run(int argc, char** argv) {
   con::bench::BenchSetup setup = con::bench::strip_obs_flags(argc, argv);
   benchmark::Initialize(&argc, argv);

@@ -9,9 +9,7 @@
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,8 +19,6 @@
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "obs/sampler.h"
-#include "obs/stats_server.h"
 #include "tensor/kernels/dispatch.h"
 #include "tensor/tensor.h"
 #include "util/cli.h"
@@ -38,66 +34,22 @@ struct BenchSetup {
   bool epochs_explicit = false;  // --epochs was given on the command line
   // Observability flags (see DESIGN.md §6): --trace <path> enables span
   // recording and exports a Chrome trace on finish_run(); --manifest writes
-  // artifacts/<name>_manifest.json; --no-metrics turns counter updates into
-  // a predicted branch. Live telemetry: --telemetry <path> streams JSONL
-  // samples every --telemetry-interval ms, --stats-socket <path> serves a
-  // JSON snapshot per connection (query with tools/con-stats).
+  // artifacts/<name>_manifest.json.
   std::string trace_path;
   bool write_manifest = false;
-  std::string telemetry_path;
-  int telemetry_interval_ms = 200;
-  std::string stats_socket_path;
-  // Live telemetry machinery, started by the parse helpers and quiesced by
-  // finish_run(). unique_ptr members make BenchSetup move-only, which every
-  // call site already respects.
-  std::unique_ptr<obs::Sampler> sampler;
-  std::unique_ptr<obs::StatsServer> stats_server;
   obs::RunManifest run;
   util::Timer run_timer;
 };
 
-// Start the sampler thread and the stats socket from the parsed flag
-// values. Idempotent per setup; both subsystems warn-and-disable on I/O
-// failure rather than failing the run.
-inline void start_telemetry(BenchSetup& setup) {
-  if (!setup.telemetry_path.empty() && !setup.sampler) {
-    setup.sampler = std::make_unique<obs::Sampler>(obs::Sampler::Options{
-        setup.telemetry_path, setup.telemetry_interval_ms});
-  }
-  if (!setup.stats_socket_path.empty() && !setup.stats_server) {
-    setup.stats_server = std::make_unique<obs::StatsServer>(
-        setup.stats_socket_path,
-        obs::StatsServer::Info{"", util::ThreadPool::global().size()});
-  }
-}
-
-// Parse only the observability flags (--trace <path>, --manifest,
-// --no-metrics, --telemetry <path>, --telemetry-interval <ms>,
-// --stats-socket <path>) — the subset shared by every binary, including
-// the examples and google-benchmark runners that do not take the study
-// sizing flags.
+// Parse only the observability flags (--trace <path>, --manifest) — the
+// subset shared by every binary, including the examples and
+// google-benchmark runners that do not take the study sizing flags.
 inline BenchSetup parse_obs_flags(util::CliFlags& flags) {
   BenchSetup setup;
   setup.trace_path = flags.get_string("trace", "");
   setup.write_manifest = flags.get_bool("manifest", false);
-  // CliFlags parses `--no-metrics` as the negation of `--metrics`.
-  obs::set_metrics(flags.get_bool("metrics", true));
-  setup.telemetry_path = flags.get_string("telemetry", "");
-  setup.telemetry_interval_ms = static_cast<int>(
-      flags.get_int("telemetry-interval", setup.telemetry_interval_ms));
-  if (setup.telemetry_interval_ms <= 0) {
-    throw std::invalid_argument(
-        "--telemetry-interval: expected a positive millisecond count, got " +
-        std::to_string(setup.telemetry_interval_ms));
-  }
-  if (flags.has("telemetry-interval") && setup.telemetry_path.empty()) {
-    throw std::invalid_argument(
-        "--telemetry-interval: meaningless without --telemetry <path>");
-  }
-  setup.stats_socket_path = flags.get_string("stats-socket", "");
   if (!setup.trace_path.empty()) obs::set_tracing(true);
   obs::set_thread_name("main");
-  start_telemetry(setup);
   return setup;
 }
 
@@ -126,8 +78,8 @@ inline void record_study_config(BenchSetup& setup,
 // Parse the common flags: --network, --train-size, --test-size,
 // --attack-size, --epochs, --finetune-epochs, --paper-scale, --seed,
 // --threads (0 = hardware concurrency; results are identical for any
-// value, only wall-clock changes), plus the observability flags --trace,
-// --manifest and --no-metrics.
+// value, only wall-clock changes), plus the observability flags --trace
+// and --manifest.
 inline BenchSetup parse_common(util::CliFlags& flags,
                                const std::string& default_network =
                                    "lenet5-small") {
@@ -183,10 +135,8 @@ inline void record_study(BenchSetup& setup, core::Study& study) {
 }
 
 // End-of-run hook: every bench/example calls this once, after its tables.
-// Quiesces the live telemetry (stats socket first, then the sampler's final
-// record), writes the Chrome trace (--trace) and the JSON manifest
-// (--manifest); costs one metrics snapshot and nothing else when all are
-// off.
+// Writes the Chrome trace (--trace) and the JSON manifest (--manifest);
+// costs nothing when both are off.
 inline void finish_run(BenchSetup& setup, const std::string& name) {
   setup.run.name = name;
   setup.run.wall_time_s = setup.run_timer.seconds();
@@ -207,18 +157,6 @@ inline void finish_run(BenchSetup& setup, const std::string& name) {
   obs::counter("store.gc_bytes").add(0);
   setup.run.extra_counters.emplace_back("tensor.buffer_allocations",
                                         tensor::Tensor::buffer_allocations());
-  // Telemetry quiesce order matters for the byte-identity contract: stop
-  // the stats server (its snapshots are read-only but its thread should be
-  // gone before the final accounting), then write the sampler's final
-  // record with exactly the extra counters the manifest will append. No
-  // metric moves between the sampler's final snapshot and the manifest's,
-  // so the two counter sections serialize to identical bytes
-  // (obs_validate --telemetry --manifest checks this).
-  if (setup.stats_server) setup.stats_server->stop();
-  if (setup.sampler) {
-    setup.sampler->finish(setup.run.extra_counters);
-    std::printf("(telemetry written to %s)\n", setup.telemetry_path.c_str());
-  }
   if (setup.write_manifest) {
     const std::string path = obs::write_manifest(setup.run, io::artifacts_dir());
     if (path.empty()) {
@@ -239,80 +177,25 @@ inline void finish_run(BenchSetup& setup, const std::string& name) {
   }
 }
 
-// For google-benchmark binaries: pull the obs flags (--trace, --manifest,
-// --no-metrics, --telemetry, --telemetry-interval, --stats-socket; value
-// flags accept both `--flag value` and `--flag=value`) out of argv before
-// benchmark::Initialize rejects them as unknown, and apply them. Returns a
-// BenchSetup carrying only the observability state; pair with finish_run()
-// after benchmark::RunSpecifiedBenchmarks().
-//
-// Malformed obs flags exit(2) with the offending flag named: anything that
-// fell through to google-benchmark used to die as a generic "unrecognized
-// command-line flag", which pointed at the wrong parser.
+// For google-benchmark binaries: leaves the `--benchmark_*` arguments in
+// argv for benchmark::Initialize and parses everything else exactly as the
+// study benches do (parse_obs_flags, then check_unused), so an unknown or
+// malformed flag is a usage error naming it. Pair with finish_run() after
+// benchmark::RunSpecifiedBenchmarks().
 inline BenchSetup strip_obs_flags(int& argc, char** argv) {
-  BenchSetup setup;
-  std::string interval_text;
-
-  const auto fail = [](const std::string& flag, const std::string& why) {
-    std::fprintf(stderr, "error: %s: %s\n", flag.c_str(), why.c_str());
-    std::exit(2);
-  };
-  // Matches `--name value` / `--name=value`; exits if the value is missing.
-  const auto value_flag = [&](const std::string& arg, const char* name,
-                              int& i, std::string* out_value) {
-    const std::string eq = std::string(name) + "=";
-    if (arg.rfind(eq, 0) == 0) {
-      *out_value = arg.substr(eq.size());
-      if (out_value->empty()) fail(name, "expected a non-empty value");
-      return true;
-    }
-    if (arg == name) {
-      if (i + 1 >= argc) fail(name, "expected a value after the flag");
-      *out_value = argv[++i];
-      return true;
-    }
-    return false;
-  };
-
-  int out = 1;
+  std::vector<const char*> ours = {argv[0]};
+  int kept = 1;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--manifest") {
-      setup.write_manifest = true;
-    } else if (arg == "--no-metrics") {
-      obs::set_metrics(false);
-    } else if (value_flag(arg, "--trace", i, &setup.trace_path) ||
-               value_flag(arg, "--telemetry-interval", i, &interval_text) ||
-               value_flag(arg, "--telemetry", i, &setup.telemetry_path) ||
-               value_flag(arg, "--stats-socket", i,
-                          &setup.stats_socket_path)) {
-      // handled
-    } else if (arg.rfind("--telemetry", 0) == 0 ||
-               arg.rfind("--stats-socket", 0) == 0) {
-      // A misspelling like --telemetry-intervall would otherwise reach
-      // google-benchmark and die with a message naming the wrong parser.
-      fail(arg, "unrecognized observability flag");
+    if (std::strncmp(argv[i], "--benchmark_", 12) == 0) {
+      argv[kept++] = argv[i];
     } else {
-      argv[out++] = argv[i];
+      ours.push_back(argv[i]);
     }
   }
-  if (!interval_text.empty()) {
-    char* end = nullptr;
-    const long v = std::strtol(interval_text.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v <= 0) {
-      fail("--telemetry-interval",
-           "expected a positive millisecond count, got '" + interval_text +
-               "'");
-    }
-    if (setup.telemetry_path.empty()) {
-      fail("--telemetry-interval", "meaningless without --telemetry <path>");
-    }
-    setup.telemetry_interval_ms = static_cast<int>(v);
-  }
-  argc = out;
-  if (!setup.trace_path.empty()) obs::set_tracing(true);
-  obs::set_thread_name("main");
-  start_telemetry(setup);
+  argc = kept;
+  util::CliFlags flags(static_cast<int>(ours.size()), ours.data());
+  BenchSetup setup = parse_obs_flags(flags);
+  flags.check_unused();
   return setup;
 }
 

@@ -10,7 +10,6 @@
 //                      [--attacks ifgsm,ifgm,deepfool]
 //                      [--both-networks] [--pruner dns|oneshot]
 #include <cstdio>
-#include <sstream>
 
 #include "attacks/params.h"
 #include "bench_common.h"
@@ -20,14 +19,6 @@
 using namespace con;
 
 namespace {
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(item);
-  return out;
-}
 
 void run_panel(core::Study& study, attacks::AttackKind attack,
                const std::vector<double>& densities,
@@ -95,17 +86,14 @@ int run(int argc, char** argv) {
   bench::BenchSetup setup = bench::parse_common(flags);
   const bool both = flags.get_bool("both-networks", false);
   const bool one_shot = flags.get_string("pruner", "dns") == "oneshot";
-  const std::string attack_list =
-      flags.get_string("attacks", "ifgsm,ifgm,deepfool");
-  std::string density_list = flags.get_string(
-      "densities", setup.paper_scale ? "1.0,0.8,0.6,0.4,0.3,0.2,0.1,0.05,0.03"
-                                     : "1.0,0.6,0.3,0.1,0.03");
+  const std::vector<std::string> attack_list =
+      flags.get_list<std::string>("attacks", {"ifgsm", "ifgm", "deepfool"});
+  const std::vector<double> densities = flags.get_list<double>(
+      "densities", setup.paper_scale
+                       ? std::vector<double>{1.0, 0.8, 0.6, 0.4, 0.3, 0.2,
+                                             0.1, 0.05, 0.03}
+                       : std::vector<double>{1.0, 0.6, 0.3, 0.1, 0.03});
   flags.check_unused();
-
-  std::vector<double> densities;
-  for (const std::string& d : split_csv(density_list)) {
-    densities.push_back(std::stod(d));
-  }
 
   std::vector<std::string> networks = {setup.study.network};
   if (both) {
@@ -122,7 +110,7 @@ int run(int argc, char** argv) {
     std::printf("\nnetwork %s: baseline accuracy %.3f\n", net.c_str(),
                 study.baseline_accuracy());
     auto family = core::build_pruned_family(study, densities, one_shot);
-    for (const std::string& a : split_csv(attack_list)) {
+    for (const std::string& a : attack_list) {
       run_panel(study, attacks::attack_from_name(a), densities, family,
                 one_shot);
     }

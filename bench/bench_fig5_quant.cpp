@@ -11,7 +11,6 @@
 //                    [--bitwidths 4,8,16,32] [--no-act-quant]
 //                    [--both-networks]
 #include <cstdio>
-#include <sstream>
 
 #include "attacks/params.h"
 #include "bench_common.h"
@@ -21,14 +20,6 @@
 using namespace con;
 
 namespace {
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(item);
-  return out;
-}
 
 void run_panel(core::Study& study, attacks::AttackKind attack,
                const std::vector<int>& bitwidths,
@@ -106,16 +97,12 @@ int run(int argc, char** argv) {
   bench::BenchSetup setup = bench::parse_common(flags);
   const bool both = flags.get_bool("both-networks", false);
   const bool act_quant = flags.get_bool("act-quant", true);
-  const std::string attack_list =
-      flags.get_string("attacks", "ifgsm,ifgm,deepfool");
-  const std::string bit_list = flags.get_string(
-      "bitwidths", setup.paper_scale ? "4,8,12,16,24,32" : "4,8,16,32");
+  const std::vector<std::string> attack_list =
+      flags.get_list<std::string>("attacks", {"ifgsm", "ifgm", "deepfool"});
+  const std::vector<int> bitwidths = flags.get_list<int>(
+      "bitwidths", setup.paper_scale ? std::vector<int>{4, 8, 12, 16, 24, 32}
+                                     : std::vector<int>{4, 8, 16, 32});
   flags.check_unused();
-
-  std::vector<int> bitwidths;
-  for (const std::string& b : split_csv(bit_list)) {
-    bitwidths.push_back(std::stoi(b));
-  }
 
   std::vector<std::string> networks = {setup.study.network};
   if (both) {
@@ -133,7 +120,7 @@ int run(int argc, char** argv) {
     std::printf("\nnetwork %s: baseline accuracy %.3f\n", net.c_str(),
                 study.baseline_accuracy());
     auto family = core::build_quantized_family(study, bitwidths, act_quant);
-    for (const std::string& a : split_csv(attack_list)) {
+    for (const std::string& a : attack_list) {
       run_panel(study, attacks::attack_from_name(a), bitwidths, family,
                 act_quant);
     }

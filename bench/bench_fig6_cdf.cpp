@@ -8,7 +8,6 @@
 //
 //   bench_fig6_cdf [--network cifarnet-small] [--bitwidths 4,8,16,32]
 #include <cstdio>
-#include <sstream>
 
 #include "bench_common.h"
 #include "compress/finetune.h"
@@ -16,23 +15,11 @@
 
 using namespace con;
 
-namespace {
-
-std::vector<int> parse_bits(const std::string& s) {
-  std::vector<int> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stoi(item));
-  return out;
-}
-
-}  // namespace
-
 int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   bench::BenchSetup setup = bench::parse_common(flags, "cifarnet-small");
   const std::vector<int> bitwidths =
-      parse_bits(flags.get_string("bitwidths", "4,8,16,32"));
+      flags.get_list<int>("bitwidths", {4, 8, 16, 32});
   flags.check_unused();
 
   core::Study study(setup.study);

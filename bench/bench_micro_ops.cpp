@@ -508,8 +508,8 @@ BENCHMARK(BM_DeepFoolSingle);
 }  // namespace
 
 // Custom main instead of BENCHMARK_MAIN(): the obs flags (--trace,
-// --manifest, --no-metrics) must be stripped from argv before
-// benchmark::Initialize rejects them as unknown.
+// --manifest) must be stripped from argv before benchmark::Initialize
+// rejects them as unknown.
 int run(int argc, char** argv) {
   con::bench::BenchSetup setup = con::bench::strip_obs_flags(argc, argv);
   benchmark::Initialize(&argc, argv);

@@ -2,7 +2,6 @@
 // trace-smoke / bench-smoke ctest hooks catch exporter rot:
 //
 //   obs_validate [--trace trace.json] [--manifest run_manifest.json]
-//                [--telemetry samples.jsonl]
 //
 // A trace must parse as strict JSON, contain a non-empty traceEvents array
 // with at least one complete ("X") span carrying the Chrome trace_event
@@ -21,20 +20,12 @@
 // "measurement" that silently fell back to the fake-quant float path
 // leaves all of these at zero and must fail loudly.
 //
-// A telemetry file (--telemetry) must be JSONL with strictly sequential
-// "seq" numbers from 0, nondecreasing elapsed_s, a counters_delta object on
-// every periodic record, and a last record marked "final": true carrying
-// the full metrics object (counters and histograms). When --telemetry and
-// --manifest are both given, the final record's metrics.counters must
-// serialize to exactly the same bytes as the manifest's metrics.counters —
-// the sampler quiesce contract (obs/sampler.h). A manifest whose
-// trace.dropped_total is positive prints a WARNING (the ring was sized too
-// small for the run) but still validates.
+// A manifest whose trace.dropped_total is positive prints a WARNING (the
+// ring was sized too small for the run) but still validates.
 // Exit 0 when everything named on the command line validates; 1 otherwise.
 #include <cstdio>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "obs/json.h"
 #include "util/cli.h"
@@ -166,109 +157,23 @@ void validate_manifest(const std::string& path, bool expect_store_hits_only,
               counters->members().size());
 }
 
-// Validates the sampler's JSONL stream and returns the parsed final record
-// for the cross-check against the manifest.
-Json validate_telemetry(const std::string& path) {
-  const std::string text = read_file(path);
-  require(!text.empty(), "telemetry file is empty");
-  std::vector<Json> records;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    require(end != std::string::npos,
-            "telemetry line " + std::to_string(records.size()) +
-                " is not newline-terminated");
-    records.push_back(con::obs::parse_json(text.substr(start, end - start)));
-    start = end + 1;
-  }
-  require(!records.empty(), "telemetry file has no records");
-  double prev_elapsed = 0.0;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const Json& rec = records[i];
-    const std::string where = "telemetry record " + std::to_string(i);
-    require(rec.kind() == Json::Kind::kObject, where + " is not an object");
-    const Json* seq = rec.find("seq");
-    require(seq != nullptr && seq->as_int() == static_cast<std::int64_t>(i),
-            where + ": seq is not sequential from 0");
-    const Json* elapsed = rec.find("elapsed_s");
-    require(elapsed != nullptr && elapsed->as_double() >= prev_elapsed,
-            where + ": elapsed_s went backwards");
-    prev_elapsed = elapsed->as_double();
-    require(rec.find("phase") != nullptr, where + ": missing phase");
-    const bool is_last = i + 1 == records.size();
-    const Json* final_marker = rec.find("final");
-    if (is_last) {
-      require(final_marker != nullptr && final_marker->as_bool(),
-              where + ": last record is not marked final "
-                      "(the run never quiesced its sampler)");
-      const Json* metrics = rec.find("metrics");
-      require(metrics != nullptr, where + ": final record missing metrics");
-      for (const char* key : {"counters", "histograms"}) {
-        const Json* section = metrics->find(key);
-        require(section != nullptr &&
-                    section->kind() == Json::Kind::kObject,
-                where + ": final record missing metrics." + key + " object");
-      }
-      require(rec.find("trace_dropped") != nullptr,
-              where + ": final record missing trace_dropped");
-    } else {
-      require(final_marker == nullptr,
-              where + ": final marker before the last record");
-      const Json* delta = rec.find("counters_delta");
-      require(delta != nullptr && delta->kind() == Json::Kind::kObject,
-              where + ": missing counters_delta object");
-    }
-  }
-  std::printf("obs_validate: %s OK (%zu samples)\n", path.c_str(),
-              records.size());
-  return records.back();
-}
-
-// The sampler quiesce contract: the final telemetry record's counter
-// section and the manifest's metrics.counters must be the same snapshot,
-// compared as serialized bytes so ordering and encoding drift also fail.
-void cross_check_final_counters(const Json& final_record,
-                                const std::string& manifest_path) {
-  const Json manifest = con::obs::parse_json(read_file(manifest_path));
-  const Json* manifest_counters = manifest.find("metrics")->find("counters");
-  require(manifest_counters != nullptr,
-          "manifest missing metrics.counters for telemetry cross-check");
-  const std::string a =
-      final_record.find("metrics")->find("counters")->dump();
-  const std::string b = manifest_counters->dump();
-  require(a == b,
-          "final telemetry counters differ from manifest counters:\n  "
-          "telemetry: " +
-              a + "\n  manifest:  " + b);
-  std::printf(
-      "obs_validate: telemetry final counters == manifest counters\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  con::util::CliFlags flags(argc, argv);
-  const std::string trace = flags.get_string("trace", "");
-  const std::string manifest = flags.get_string("manifest", "");
-  const std::string telemetry = flags.get_string("telemetry", "");
-  const bool hits_only = flags.get_bool("expect-store-hits-only", false);
-  const bool integer_path = flags.get_bool("expect-integer-path", false);
   try {
+    con::util::CliFlags flags(argc, argv);
+    const std::string trace = flags.get_string("trace", "");
+    const std::string manifest = flags.get_string("manifest", "");
+    const bool hits_only = flags.get_bool("expect-store-hits-only", false);
+    const bool integer_path = flags.get_bool("expect-integer-path", false);
     flags.check_unused();
-    if (trace.empty() && manifest.empty() && telemetry.empty()) {
+    if (trace.empty() && manifest.empty()) {
       throw std::runtime_error(
           "usage: obs_validate [--trace f.json] [--manifest f.json] "
-          "[--telemetry f.jsonl] [--expect-store-hits-only] "
-          "[--expect-integer-path]");
+          "[--expect-store-hits-only] [--expect-integer-path]");
     }
     if (!trace.empty()) validate_trace(trace);
     if (!manifest.empty()) validate_manifest(manifest, hits_only, integer_path);
-    if (!telemetry.empty()) {
-      const Json final_record = validate_telemetry(telemetry);
-      if (!manifest.empty()) {
-        cross_check_final_counters(final_record, manifest);
-      }
-    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "obs_validate: FAIL: %s\n", e.what());
     return 1;

@@ -23,7 +23,6 @@ nn::TrainConfig to_train_config(const FineTuneConfig& c) {
 nn::Sequential make_pruned_model(const nn::Sequential& baseline,
                                  const data::Dataset& train, double density,
                                  const FineTuneConfig& config, bool one_shot) {
-  obs::ScopedPhase phase("prune");
   nn::Sequential model = baseline.clone();
   char buf[32];
   std::snprintf(buf, sizeof(buf), "-d%.3f", density);
@@ -58,7 +57,6 @@ nn::Sequential make_quantized_model(const nn::Sequential& baseline,
                                     const data::Dataset& train, int bitwidth,
                                     const FineTuneConfig& config,
                                     bool quantize_activations) {
-  obs::ScopedPhase phase("quantise");
   QuantizeOptions options{
       .format = FixedPointFormat::paper_format(bitwidth),
       .quantize_weights = true,

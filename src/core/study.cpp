@@ -59,7 +59,6 @@ void Study::train_model(nn::Sequential& model, std::uint64_t shuffle_seed) {
                  model.name().c_str(), config_.baseline_epochs,
                  static_cast<long long>(config_.train_size));
   obs::Span span(model.name(), "train_baseline");
-  obs::ScopedPhase phase("train-baseline");
   nn::TrainConfig tc;
   tc.epochs = config_.baseline_epochs;
   tc.batch_size = config_.batch_size;
@@ -181,7 +180,6 @@ ModelArtifact Study::clustered_variant(int bits) {
 tensor::Tensor Study::baseline_adversarial(attacks::AttackKind attack,
                                            const attacks::AttackParams& params) {
   nn::Sequential& base = baseline();
-  obs::ScopedPhase phase("baseline-adversarial");
   const store::Derivation drv =
       adversarial_derivation(baseline_drv_, dataset_hash(),
                              config_.attack_size, attack, params,

@@ -122,7 +122,6 @@ std::vector<ScenarioPoint> sweep_scenarios(
     attacks::AttackKind attack, const attacks::AttackParams& params) {
   std::vector<ScenarioPoint> points(family.size());
   if (family.empty()) return points;
-  obs::ScopedPhase phase("sweep");
   // Warm all lazily-memoized study state on this thread; worker threads
   // below only read it.
   const tensor::Tensor baseline_adv =

@@ -34,10 +34,8 @@ struct RunManifest {
 // config object, trace drop accounting, metrics {counters, histograms}.
 Json manifest_json(const RunManifest& m);
 
-// The {counters, histograms} object every metrics consumer receives: the
-// manifest, the telemetry sampler's final record and the stats server all
-// serialize it, so "the same snapshot" really is byte-identical wherever it
-// is written. `extra_counters` follow the sorted registry counters.
+// The manifest's {counters, histograms} object. `extra_counters` follow
+// the sorted registry counters.
 // Histogram entries carry count, the exact sum and its mean,
 // p50/p90/p99/p999 upper-bucket-bound percentiles, and the non-zero buckets
 // as [index, count] pairs.

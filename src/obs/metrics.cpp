@@ -8,15 +8,6 @@
 
 namespace con::obs {
 
-namespace detail {
-std::atomic<bool> g_metrics{true};
-}  // namespace detail
-
-// conlint:lockfree(writes the standalone enable flag; record sites poll it and tolerate one stale observation)
-void set_metrics(bool enabled) {
-  detail::g_metrics.store(enabled, std::memory_order_relaxed);
-}
-
 std::uint64_t Histogram::count() const {
   std::uint64_t total = 0;
   for (const auto& c : counts_) total += c.load(std::memory_order_relaxed);
@@ -57,15 +48,9 @@ void Histogram::reset() {
   sum_.store(0, std::memory_order_relaxed);
 }
 
-ScopedTimer::ScopedTimer(Histogram& h) {
-  if (!metrics_enabled()) return;
-  hist_ = &h;
-  start_ns_ = now_ns();
-}
+ScopedTimer::ScopedTimer(Histogram& h) : hist_(h), start_ns_(now_ns()) {}
 
-ScopedTimer::~ScopedTimer() {
-  if (hist_ != nullptr) hist_->record(now_ns() - start_ns_);
-}
+ScopedTimer::~ScopedTimer() { hist_.record(now_ns() - start_ns_); }
 
 struct MetricsRegistry::Impl {
   mutable std::mutex mu;

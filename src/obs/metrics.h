@@ -1,8 +1,7 @@
 // Process-wide named counters and histograms.
 //
 // Call sites cache a reference once and then pay relaxed atomic RMWs per
-// update (plus a relaxed enabled-load — `--no-metrics` turns recording into
-// a branch):
+// update:
 //
 //   static obs::Counter& c = obs::counter("gemm.dispatch.blocked");
 //   c.add(1);
@@ -30,21 +29,11 @@
 
 namespace con::obs {
 
-namespace detail {
-extern std::atomic<bool> g_metrics;
-}  // namespace detail
-
-// conlint:lockfree(single on/off flag polled per record; a stale read only delays enable/disable by one observation)
-inline bool metrics_enabled() {
-  return detail::g_metrics.load(std::memory_order_relaxed);
-}
-void set_metrics(bool enabled);
-
 // conlint:lockfree(monotonic tally on one atomic slot; readers tolerate stale totals and nothing synchronises-with a bump)
 class Counter {
  public:
   void add(std::uint64_t delta = 1) {
-    if (metrics_enabled()) value_.fetch_add(delta, std::memory_order_relaxed);
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
   void reset() { value_.store(0, std::memory_order_relaxed); }
@@ -54,27 +43,25 @@ class Counter {
 };
 
 // Fixed-bucket log2-spaced histogram with an exact sum: the one metric kind
-// for hot-path latency/size telemetry.
+// for hot-path latencies and sizes.
 //
 // Bucket i counts observations v with bucket_index(v) == i: bucket 0 holds
 // v == 0, bucket i (1 <= i < kHistogramBuckets-1) holds
 // 2^(i-1) <= v < 2^i, and the last bucket absorbs everything larger.
 // record() is lock-free and allocation-free — two relaxed fetch_adds on
-// fixed slots (plus the enabled load) — so it is safe inside GEMM panels
-// and attack inner loops. Because bucket counts and the sum are exact
-// integer sums, both are byte-identical for any --threads value on
-// integer-valued observations (same multiset of observations, any order),
-// extending the counter determinism contract to shape, not just totals.
+// fixed slots — so it is safe inside GEMM panels and attack inner loops.
+// Because bucket counts and the sum are exact integer sums, both are
+// byte-identical for any --threads value on integer-valued observations
+// (same multiset of observations, any order), extending the counter
+// determinism contract to shape, not just totals.
 // conlint:lockfree(fixed atomic bucket and sum slots; exact integer sums in any interleaving, readers tolerate in-flight records)
 class Histogram {
  public:
   static constexpr std::size_t kHistogramBuckets = 64;
 
   void record(std::uint64_t v) {
-    if (metrics_enabled()) {
-      counts_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
-      sum_.fetch_add(v, std::memory_order_relaxed);
-    }
+    counts_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(v, std::memory_order_relaxed);
   }
   // Double observations are rounded to the nearest integer (negative
   // values clamp to bucket 0), so integer-valued doubles keep the
@@ -121,8 +108,7 @@ class Histogram {
 
 // Scoped wall-time observation: on destruction records whole nanoseconds
 // into the histogram (timings are not thread-count deterministic, and
-// comparisons skip them). Costs nothing but the enabled check when metrics
-// are off.
+// comparisons skip them).
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram& h);
@@ -131,8 +117,8 @@ class ScopedTimer {
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
-  Histogram* hist_ = nullptr;
-  std::uint64_t start_ns_ = 0;
+  Histogram& hist_;
+  std::uint64_t start_ns_;
 };
 
 struct MetricsSnapshot {

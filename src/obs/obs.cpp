@@ -199,45 +199,6 @@ std::vector<RingDropCount> trace_ring_drops() {
   return out;
 }
 
-namespace {
-
-struct PhaseState {
-  std::mutex mu;
-  std::string phase;
-};
-
-PhaseState& phase_state() {
-  static PhaseState* state = new PhaseState();  // leaked: usable during exit
-  return *state;
-}
-
-}  // namespace
-
-void set_phase(const std::string& phase) {
-  PhaseState& st = phase_state();
-  std::lock_guard<std::mutex> lock(st.mu);
-  st.phase = phase;
-}
-
-std::string current_phase() {
-  PhaseState& st = phase_state();
-  std::lock_guard<std::mutex> lock(st.mu);
-  return st.phase;
-}
-
-ScopedPhase::ScopedPhase(const std::string& phase) {
-  PhaseState& st = phase_state();
-  std::lock_guard<std::mutex> lock(st.mu);
-  prev_ = st.phase;
-  st.phase = phase;
-}
-
-ScopedPhase::~ScopedPhase() {
-  PhaseState& st = phase_state();
-  std::lock_guard<std::mutex> lock(st.mu);
-  st.phase = prev_;
-}
-
 void clear_trace() {
   Registry& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mu);

@@ -129,27 +129,6 @@ struct RingDropCount {
 // One entry per registered ring, in tid order (zero-drop rings included).
 std::vector<RingDropCount> trace_ring_drops();
 
-// ---- phase ------------------------------------------------------------------
-
-// Coarse "what is the process doing right now" label, reported by the
-// telemetry sampler and the stats server. Set it at top-level operations
-// (baseline training, sweeps) from the orchestrating thread; it is
-// observational only and never feeds results.
-void set_phase(const std::string& phase);
-std::string current_phase();
-
-// RAII phase scope: restores the previous phase on exit.
-class ScopedPhase {
- public:
-  explicit ScopedPhase(const std::string& phase);
-  ~ScopedPhase();
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  std::string prev_;
-};
-
 // Discard all recorded events (rings stay allocated). Caller must quiesce
 // recording first.
 void clear_trace();

@@ -9,16 +9,11 @@
 // exists, and cost only a relaxed load + branch when tracing is off.
 
 #include <gtest/gtest.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 #include <string>
 #include <thread>
@@ -28,8 +23,6 @@
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "obs/sampler.h"
-#include "obs/stats_server.h"
 #include "util/logging.h"
 #include "util/threadpool.h"
 
@@ -226,20 +219,6 @@ TEST(ObsMetrics, CountersAccumulateAndReset) {
   EXPECT_EQ(&con::obs::counter("obs_test.basic"), &c);
   con::obs::reset_metrics();
   EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(ObsMetrics, DisablingMetricsTurnsUpdatesIntoNoops) {
-  con::obs::reset_metrics();
-  con::obs::Counter& c = con::obs::counter("obs_test.gated");
-  con::obs::Histogram& h = con::obs::histogram("obs_test.gated_hist");
-  con::obs::set_metrics(false);
-  c.add(5);
-  h.record(std::uint64_t{1});
-  { con::obs::ScopedTimer t(h); }
-  con::obs::set_metrics(true);
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.sum(), 0u);
 }
 
 TEST(ObsMetrics, ScopedTimerRecordsOneObservation) {
@@ -533,202 +512,6 @@ TEST(ObsManifest, TraceDropAccountingReachesManifestAndApi) {
   EXPECT_FALSE(trace->find("dropped_by_thread")->members().empty());
   con::obs::clear_trace();
   con::obs::set_tracing(false);
-}
-
-// ---- phases -----------------------------------------------------------------
-
-TEST(ObsPhase, ScopedPhaseNestsAndRestores) {
-  con::obs::set_phase("outer");
-  EXPECT_EQ(con::obs::current_phase(), "outer");
-  {
-    con::obs::ScopedPhase inner("inner");
-    EXPECT_EQ(con::obs::current_phase(), "inner");
-    {
-      con::obs::ScopedPhase deeper("deeper");
-      EXPECT_EQ(con::obs::current_phase(), "deeper");
-    }
-    EXPECT_EQ(con::obs::current_phase(), "inner");
-  }
-  EXPECT_EQ(con::obs::current_phase(), "outer");
-  con::obs::set_phase("");
-}
-
-// ---- telemetry sampler ------------------------------------------------------
-
-namespace {
-std::string temp_dir() {
-  const char* tmpdir = std::getenv("TMPDIR");
-  return tmpdir != nullptr ? tmpdir : "/tmp";
-}
-
-std::string slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr);
-  std::string text;
-  char buf[4096];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, got);
-  std::fclose(f);
-  return text;
-}
-
-std::vector<Json> parse_jsonl(const std::string& text) {
-  std::vector<Json> records;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    const std::size_t end = text.find('\n', start);
-    EXPECT_NE(end, std::string::npos);
-    records.push_back(con::obs::parse_json(text.substr(start, end - start)));
-    start = end + 1;
-  }
-  return records;
-}
-}  // namespace
-
-TEST(ObsSampler, StreamsDeltasAndFinalSnapshotMatchesManifestBytes) {
-  con::obs::reset_metrics();
-  const std::string path = temp_dir() + "/obs_test_sampler.jsonl";
-  con::obs::Counter& c = con::obs::counter("obs_test.sampler_counter");
-  c.add(5);
-  std::vector<std::pair<std::string, std::uint64_t>> extras;
-  extras.emplace_back("tensor.buffer_allocations", std::uint64_t{99});
-  {
-    con::obs::Sampler sampler({path, /*interval_ms=*/10});
-    ASSERT_TRUE(sampler.ok());
-    std::this_thread::sleep_for(std::chrono::milliseconds(120));
-    c.add(2);
-    sampler.finish(extras);
-    // Idempotent: a second finish (and the destructor) must not append.
-    sampler.finish(extras);
-  }
-  const std::string text = slurp(path);
-  std::remove(path.c_str());
-  const std::vector<Json> records = parse_jsonl(text);
-  ASSERT_GE(records.size(), 2u);  // at least one periodic tick + the final
-  double prev_elapsed = 0.0;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(records[i].find("seq")->as_int(), static_cast<std::int64_t>(i));
-    EXPECT_GE(records[i].find("elapsed_s")->as_double(), prev_elapsed);
-    prev_elapsed = records[i].find("elapsed_s")->as_double();
-    if (i + 1 < records.size()) {
-      EXPECT_EQ(records[i].find("final"), nullptr);
-      ASSERT_NE(records[i].find("counters_delta"), nullptr);
-    }
-  }
-  // Delta encoding: the first periodic tick reports the pre-start value as
-  // its delta (prev starts empty), and unchanged counters never reappear.
-  const Json* first_delta = records[0].find("counters_delta");
-  const Json* seen = first_delta->find("obs_test.sampler_counter");
-  ASSERT_NE(seen, nullptr);
-  EXPECT_EQ(seen->as_int(), 5);
-  // The final record: marked, full sections, and its counters object must
-  // be byte-identical to what the manifest emitter produces for the same
-  // quiesced registry + the same extras.
-  const Json& final_rec = records.back();
-  ASSERT_NE(final_rec.find("final"), nullptr);
-  EXPECT_TRUE(final_rec.find("final")->as_bool());
-  const Json* metrics = final_rec.find("metrics");
-  ASSERT_NE(metrics, nullptr);
-  const std::string manifest_bytes =
-      con::obs::metrics_json(con::obs::snapshot_metrics(), extras)
-          .find("counters")
-          ->dump();
-  EXPECT_EQ(metrics->find("counters")->dump(), manifest_bytes);
-  ASSERT_NE(metrics->find("histograms"), nullptr);
-  ASSERT_NE(final_rec.find("trace_dropped"), nullptr);
-}
-
-// ---- stats server -----------------------------------------------------------
-
-namespace {
-// A connected client socket, or -1 when nothing listens at `path`.
-int connect_socket(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  EXPECT_LT(path.size(), sizeof(addr.sun_path));
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-std::string query_socket(const std::string& path) {
-  const int fd = connect_socket(path);
-  if (fd < 0) return "";
-  std::string body;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
-    body.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return body;
-}
-}  // namespace
-
-TEST(ObsStatsServer, ServesOneJsonSnapshotPerConnection) {
-  con::obs::reset_metrics();
-  con::obs::counter("obs_test.stats_counter").add(11);
-  con::obs::set_phase("stats-test");
-  const std::string path = temp_dir() + "/obs_test_stats.sock";
-  con::obs::StatsServer server(path, {"unit-test-run", 3});
-  ASSERT_TRUE(server.ok());
-  const std::string body = query_socket(path);
-  ASSERT_FALSE(body.empty());
-  const Json doc = con::obs::parse_json(body);
-  EXPECT_EQ(doc.find("pid")->as_int(), static_cast<std::int64_t>(::getpid()));
-  EXPECT_EQ(doc.find("run")->as_string(), "unit-test-run");
-  EXPECT_EQ(doc.find("threads")->as_int(), 3);
-  EXPECT_GE(doc.find("elapsed_s")->as_double(), 0.0);
-  EXPECT_EQ(doc.find("phase")->as_string(), "stats-test");
-  const Json* counters = doc.find("metrics")->find("counters");
-  ASSERT_NE(counters, nullptr);
-  EXPECT_EQ(counters->find("obs_test.stats_counter")->as_int(), 11);
-  ASSERT_NE(doc.find("metrics")->find("histograms"), nullptr);
-  // Wait until the serve loop has accounted the request (the client sees
-  // EOF slightly before the server increments), then stop: the socket must
-  // be unlinked and refuse further connections.
-  for (int i = 0; i < 200 && server.requests_served() < 1; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(server.requests_served(), 1u);
-  server.stop();
-  EXPECT_TRUE(query_socket(path).empty());
-  con::obs::set_phase("");
-}
-
-// A client that hangs up before reading must not take the run down with a
-// SIGPIPE from the server's reply; the next client is still served.
-TEST(ObsStatsServer, ClientThatHangsUpDoesNotKillTheRun) {
-  // A reply far larger than a socket buffer: the server is still sending
-  // when the client hangs up, however the two threads are scheduled.
-  for (int i = 0; i < 10000; ++i) {
-    con::obs::counter("obs_test.hangup_padding_" + std::to_string(i)).add(1);
-  }
-  const std::string path = temp_dir() + "/obs_test_hangup.sock";
-  con::obs::StatsServer server(path, {"hangup-run", 1});
-  ASSERT_TRUE(server.ok());
-  const int fd = connect_socket(path);
-  ASSERT_GE(fd, 0);
-  ::close(fd);  // hang up without reading the reply
-  for (int i = 0; i < 200 && server.requests_served() < 1; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(server.requests_served(), 1u);
-  const std::string body = query_socket(path);
-  ASSERT_FALSE(body.empty());
-  EXPECT_EQ(con::obs::parse_json(body).find("run")->as_string(), "hangup-run");
-}
-
-TEST(ObsStatsServer, OverlongSocketPathDisablesInsteadOfThrowing) {
-  const std::string path = temp_dir() + "/" + std::string(200, 'x') + ".sock";
-  con::obs::StatsServer server(path, {"x", 1});
-  EXPECT_FALSE(server.ok());
 }
 
 // ---- logging satellites -----------------------------------------------------

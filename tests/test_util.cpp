@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "util/cli.h"
 #include "util/rng.h"
@@ -132,17 +133,71 @@ TEST(Cli, BadBooleanThrows) {
   EXPECT_THROW(flags.get_bool("b", false), std::invalid_argument);
 }
 
-TEST(Cli, BadNumberNamesTheFlag) {
-  const char* argv[] = {"prog", "--seed=abc", "--eps=1e999"};
-  CliFlags flags(3, argv);
+// Whether `lookup` throws a std::invalid_argument whose message names
+// `flag`.
+template <typename F>
+::testing::AssertionResult rejects_naming(const char* flag, F&& lookup) {
   try {
-    flags.get_int("seed", 0);
-    FAIL() << "a non-numeric --seed must throw";
+    lookup();
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("--seed"), std::string::npos)
-        << e.what();
+    if (std::string(e.what()).find(flag) != std::string::npos) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure() << "'" << e.what()
+                                         << "' does not name " << flag;
   }
-  EXPECT_THROW(flags.get_double("eps", 0.0), std::invalid_argument);
+  return ::testing::AssertionFailure() << "no std::invalid_argument";
+}
+
+TEST(Cli, BadNumberNamesTheFlag) {
+  const char* argv[] = {"prog", "--seed=abc", "--eps=1e999", "--train-size",
+                        "60x", "--densities", "1.0,0.5y", "--bitwidths", "8,x",
+                        "--attack-size", "", "--grid=abc"};
+  CliFlags flags(12, argv);
+  EXPECT_TRUE(rejects_naming("--seed", [&] { flags.get_int("seed", 0); }));
+  EXPECT_TRUE(rejects_naming("--eps", [&] { flags.get_double("eps", 0.0); }));
+  // Trailing junk and empty values are rejected, not silently dropped.
+  EXPECT_TRUE(rejects_naming("--train-size",
+                             [&] { flags.get_int("train-size", 0); }));
+  EXPECT_TRUE(rejects_naming("--densities",
+                             [&] { flags.get_list<double>("densities", {}); }));
+  EXPECT_TRUE(rejects_naming("--bitwidths",
+                             [&] { flags.get_list<int>("bitwidths", {}); }));
+  EXPECT_TRUE(rejects_naming("--attack-size",
+                             [&] { flags.get_int("attack-size", 0); }));
+  EXPECT_TRUE(rejects_naming("--grid",
+                             [&] { flags.get_list<double>("grid", {}); }));
+}
+
+TEST(Cli, ListsParseEveryElement) {
+  const char* argv[] = {"prog", "--densities", "1.0,0.5", "--bits=4,8",
+                        "--attacks", "ifgsm,deepfool"};
+  CliFlags flags(6, argv);
+  EXPECT_EQ(flags.get_list<double>("densities", {}),
+            (std::vector<double>{1.0, 0.5}));
+  EXPECT_EQ(flags.get_list<int>("bits", {}), (std::vector<int>{4, 8}));
+  EXPECT_EQ(flags.get_list<std::string>("attacks", {}),
+            (std::vector<std::string>{"ifgsm", "deepfool"}));
+  EXPECT_EQ(flags.get_list<int>("absent", {16, 32}),
+            (std::vector<int>{16, 32}));
+  EXPECT_NO_THROW(flags.check_unused());
+}
+
+// `--trace --manifest` gives --trace no value: a path lookup must fail
+// naming it rather than read "true" (or the next flag) as the path.
+TEST(Cli, BareValueFlagNamesTheFlag) {
+  const char* argv[] = {"prog", "--trace", "--manifest"};
+  CliFlags flags(3, argv);
+  EXPECT_TRUE(flags.get_bool("manifest", false));
+  EXPECT_TRUE(rejects_naming("--trace",
+                             [&] { flags.get_string("trace", ""); }));
+}
+
+TEST(Cli, ErrorsNameTheFlagAsTyped) {
+  const char* argv[] = {"prog", "--no-metrics"};
+  CliFlags flags(2, argv);
+  EXPECT_TRUE(rejects_naming("unknown flag --no-metrics",
+                             [&] { flags.check_unused(); }));
 }
 
 TEST(TableTest, AlignedRender) {
