@@ -177,16 +177,18 @@ inline void finish_run(BenchSetup& setup, const std::string& name) {
   }
 }
 
-// For google-benchmark binaries: leaves the `--benchmark_*` arguments in
-// argv for benchmark::Initialize and parses everything else exactly as the
-// study benches do (parse_obs_flags, then check_unused), so an unknown or
+// For google-benchmark binaries: leaves google-benchmark's own arguments
+// (`--benchmark_*` and its log verbosity `--v=`) in argv for
+// benchmark::Initialize and parses everything else exactly as the study
+// benches do (parse_obs_flags, then check_unused), so an unknown or
 // malformed flag is a usage error naming it. Pair with finish_run() after
 // benchmark::RunSpecifiedBenchmarks().
 inline BenchSetup strip_obs_flags(int& argc, char** argv) {
   std::vector<const char*> ours = {argv[0]};
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--benchmark_", 12) == 0) {
+    if (std::strncmp(argv[i], "--benchmark_", 12) == 0 ||
+        std::strncmp(argv[i], "--v=", 4) == 0) {
       argv[kept++] = argv[i];
     } else {
       ours.push_back(argv[i]);

@@ -196,7 +196,7 @@ void gemm_nt_blocked(benchmark::State& state, Isa isa) {
   tensor::kernels::ScopedIsa scoped(isa);
   Tensor x = random_tensor({32, 800}, 25);
   Tensor w = random_tensor({500, 800}, 26);
-  const auto pw = tensor::gemm::pack_rowmajor(w, tensor::gemm::kStripB);
+  const auto pw = tensor::gemm::pack_nt(w);
   for (auto _ : state) {
     benchmark::DoNotOptimize(tensor::gemm::matmul_nt(x, pw));
   }
@@ -212,6 +212,66 @@ void BM_GemmNtBlockedAvx2(benchmark::State& state) {
   gemm_nt_blocked(state, Isa::kAvx2);
 }
 BENCHMARK(BM_GemmNtBlockedAvx2);
+
+// Conv2d weight gradient dW[outC, CKK] = go[outC, N·P] · cols[CKK, N·P]ᵀ,
+// both raw: the NT shape that dominates a training step. go is ~25% dense,
+// like the gradient behind a 2×2 max-pool.
+//   0: lenet5-small conv1  M=4,  N=9,  K=25088 (batch 32, 28×28)
+//   1: cifarnet-small conv2 M=16, N=72, K=8192 (batch 32, 16×16)
+GemmShape wgrad_shape_for(int idx) {
+  return idx == 0 ? GemmShape{4, 32 * 28 * 28, 9}
+                  : GemmShape{16, 32 * 16 * 16, 72};
+}
+
+void gemm_nt_wgrad(benchmark::State& state, Isa isa) {
+  if (!force_isa_or_skip(state, isa)) return;
+  tensor::kernels::ScopedIsa scoped(isa);
+  const GemmShape s = wgrad_shape_for(static_cast<int>(state.range(0)));
+  Tensor go = random_tensor({s.m, s.k}, 29);
+  util::Rng rng(30);
+  for (float& v : go.flat()) {
+    if (rng.uniform() < 0.75) v = 0.0f;
+  }
+  Tensor cols = random_tensor({s.n, s.k}, 31);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tensor::gemm::matmul_nt(go, cols));
+  }
+  state.SetItemsProcessed(state.iterations() * s.m * s.k * s.n);
+}
+
+void BM_GemmNtWgrad(benchmark::State& state) {
+  gemm_nt_wgrad(state, Isa::kScalar);
+}
+BENCHMARK(BM_GemmNtWgrad)->Arg(0)->Arg(1);
+
+void BM_GemmNtWgradAvx2(benchmark::State& state) {
+  gemm_nt_wgrad(state, Isa::kAvx2);
+}
+BENCHMARK(BM_GemmNtWgradAvx2)->Arg(0)->Arg(1);
+
+// One-row Linear forward at lenet5-small fc1, y[1, 32] = x[1, 392] · W[32,
+// 392]ᵀ with W pre-packed: the shape DeepFool's shrinking active set runs.
+void gemm_nt_row(benchmark::State& state, Isa isa) {
+  if (!force_isa_or_skip(state, isa)) return;
+  tensor::kernels::ScopedIsa scoped(isa);
+  Tensor x = random_tensor({1, 392}, 32);
+  Tensor w = random_tensor({32, 392}, 33);
+  const auto pw = tensor::gemm::pack_nt(w);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tensor::gemm::matmul_nt(x, pw));
+  }
+  state.SetItemsProcessed(state.iterations() * 392 * 32);
+}
+
+void BM_GemmNtRow(benchmark::State& state) {
+  gemm_nt_row(state, Isa::kScalar);
+}
+BENCHMARK(BM_GemmNtRow);
+
+void BM_GemmNtRowAvx2(benchmark::State& state) {
+  gemm_nt_row(state, Isa::kAvx2);
+}
+BENCHMARK(BM_GemmNtRowAvx2);
 
 void BM_GemmTnScalar(benchmark::State& state) {
   // Conv2d backward at cifarnet conv2: dcols = Wᵀ[288, 32] · go[32, 8192].

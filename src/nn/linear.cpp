@@ -15,10 +15,11 @@ using tensor::Index;
 
 namespace {
 
-// y = x Wᵀ wants W packed row-major (rows = out); dx = g W wants W as the
-// right operand of an NN product, i.e. packed along columns (rows = in).
+// y = x Wᵀ wants W's rows as the NT tile's doubles (converted once here,
+// never per call); dx = g W wants W as the right operand of an NN product,
+// i.e. packed along columns (rows = in).
 void pack_linear(PackedWeights& pw) {
-  pw.fwd = tensor::gemm::pack_rowmajor(pw.effective, tensor::gemm::kStripB);
+  pw.fwd_nt = tensor::gemm::pack_nt(pw.effective);
   pw.bwd = tensor::gemm::pack_colmajor(pw.effective, tensor::gemm::kStripB);
 }
 
@@ -53,7 +54,7 @@ Tensor Linear::forward(const Tensor& x, bool train, TapeSlot& slot) const {
   // (single-threaded by contract) may refresh it.
   if (train) weight_.grad_gate = slot.packed->gate;
   // y[N, out] = x[N, in] * W[out, in]^T
-  Tensor y = tensor::gemm::matmul_nt(x, slot.packed->fwd);
+  Tensor y = tensor::gemm::matmul_nt(x, slot.packed->fwd_nt);
   tensor::bias_add_inplace(y, bias_.value);
   return y;
 }

@@ -65,7 +65,8 @@ struct PackedWeights {
 
   Tensor effective;  // transform(value ⊙ mask) at build time
   Tensor gate;       // straight-through gate (empty when no transform)
-  tensor::gemm::PackedMatrix fwd;  // operand panels for the forward GEMM
+  tensor::gemm::PackedMatrix fwd;  // Conv2d forward panels (W·cols)
+  tensor::gemm::PackedNt fwd_nt;   // Linear forward double rows (x·Wᵀ)
   tensor::gemm::PackedMatrix bwd;  // operand panels for the backward GEMM
 };
 
@@ -105,8 +106,9 @@ struct PackedInt8Weights {
 
 class PackedWeightsCache {
  public:
-  // Fills pw.fwd/pw.bwd from pw.effective; layer-specific (strip widths and
-  // row/column-major orientation differ between Linear and Conv2d).
+  // Fills the forward (pw.fwd or pw.fwd_nt) and backward operands from
+  // pw.effective; layer-specific (operand layout and orientation differ
+  // between Linear and Conv2d).
   using BuildFn = void (*)(PackedWeights& pw);
 
   // Packs the validated weight codes (row-major [rows, depth]) into the

@@ -79,20 +79,20 @@ void build_skip_lists(PackedMatrix& p) {
   }
 }
 
-// The register-tile micro-kernel lives in the runtime-dispatched kernel
+// The register-tile micro-kernels live in the runtime-dispatched kernel
 // table (tensor/kernels/dispatch.h): kernels/kernel_scalar.h holds the
-// template these loops always ran, kernel_avx2.cpp the bit-identical
-// vectorized variant the first-use probe selects on AVX2 hosts. Packing,
+// loops these kernels always ran, kernel_avx2.cpp the bit-identical
+// vectorized variants the first-use probe selects on AVX2 hosts. Packing,
 // panel threading and the zero-skip lists below are ISA-independent and
 // feed every table entry the same strips.
 
-// The right operand of a GEMM call: either a pre-packed matrix (cached
-// weight panels) or raw storage packed panel-by-panel inside each task.
+// The right operand of an NN/TN call: either a pre-packed matrix (cached
+// weight panels) or raw k-major storage (raw[k*ld + j], [K,N]) packed
+// panel-by-panel inside each task.
 struct BSource {
   const PackedMatrix* packed = nullptr;
   const float* raw = nullptr;
-  Index ld = 0;         // leading dimension of raw storage
-  bool k_major = false;  // true: raw[k*ld + j] ([K,N]); false: raw[j*ld + k]
+  Index ld = 0;  // leading dimension of raw storage
 };
 
 // Packs the columns [j0, j0+jn) of a raw right operand into kStripB strips
@@ -100,9 +100,9 @@ struct BSource {
 // across panels, so only the partial tail strip needs re-zeroing — full
 // strip columns are completely overwritten). Zero detection is fused into
 // the copy (the flags array is 8× smaller than the panel) so the packed
-// floats are written once and never re-read here. The k-major inner row
-// scatter goes through the kernel table's pack_row entry — a pure byte
-// shuffle, bit-identical on every ISA (dispatch.h).
+// floats are written once and never re-read here. The inner row scatter
+// goes through the kernel table's pack_row entry — a pure byte shuffle,
+// bit-identical on every ISA (dispatch.h).
 void pack_panel(const kernels::KernelTable& kt, const BSource& b, Index depth,
                 Index j0, Index jn, std::vector<float>& data,
                 std::vector<char>& flags, std::vector<std::int32_t>& nnz,
@@ -115,26 +115,10 @@ void pack_panel(const kernels::KernelTable& kt, const BSource& b, Index depth,
     float* tail = data.data() + (ns - 1) * depth * kStripB;
     std::fill(tail, tail + depth * kStripB, 0.0f);
   }
-  if (b.k_major) {
-    // k outer keeps the reads streaming through the big matrix row by row.
-    for (Index k = 0; k < depth; ++k) {
-      kt.pack_row(data.data(), b.raw + k * b.ld + j0, jn, depth, k,
-                  flags.data());
-    }
-  } else {
-    for (Index s = 0; s < ns; ++s) {
-      const Index c0 = s * kStripB;
-      const Index cl = std::min<Index>(kStripB, jn - c0);
-      float* strip = data.data() + s * depth * kStripB;
-      char* fl = flags.data() + s * depth;
-      for (Index t = 0; t < cl; ++t) {
-        const float* src = b.raw + (j0 + c0 + t) * b.ld;
-        for (Index k = 0; k < depth; ++k) {
-          strip[k * kStripB + t] = src[k];
-          fl[k] |= (src[k] != 0.0f);
-        }
-      }
-    }
+  // k outer keeps the reads streaming through the big matrix row by row.
+  for (Index k = 0; k < depth; ++k) {
+    kt.pack_row(data.data(), b.raw + k * b.ld + j0, jn, depth, k,
+                flags.data());
   }
   ptr.clear();
   ptr.reserve(static_cast<std::size_t>(ns) + 1);
@@ -188,19 +172,18 @@ void sparse_axpy(const kernels::KernelTable& kt, const PackedMatrix& a,
 }
 // conlint:hotpath end
 
-// Drives a full C[M,N] product from a packed left operand and a BSource
-// through the table's `mk` micro-kernel (MR must match the strip width `a`
-// was packed with). Parallel over kNC-column panels: each task owns a
-// disjoint column range of C and computes every one of its elements exactly
-// once, so the output is independent of the thread count.
-template <int MR>
-void gemm_blocked(const kernels::KernelTable& kt, kernels::MicroKernelFn mk,
-                  bool allow_axpy, const PackedMatrix& a, const BSource& bsrc,
-                  Index n, float* c) {
+// Drives a full C[M,N] = A·B product from a kStripA-packed left operand
+// and a BSource through the table's float tile. Parallel over kNC-column
+// panels: each task owns a disjoint column range of C and computes every
+// one of its elements exactly once, so the output is independent of the
+// thread count.
+void gemm_blocked(const kernels::KernelTable& kt, const PackedMatrix& a,
+                  const BSource& bsrc, Index n, float* c) {
+  constexpr Index MR = kStripA;
   const Index m = a.rows;
   const Index depth = a.depth;
   if (m == 0 || n == 0) return;
-  if (allow_axpy && bsrc.packed == nullptr && bsrc.k_major &&
+  if (bsrc.packed == nullptr &&
       a.nnz * 100 <= m * depth * kSparseAxpyDensityPct) {
     axpy_counter(kt.isa).add(1);
     sparse_axpy(kt, a, bsrc.raw, bsrc.ld, n, c);
@@ -250,7 +233,7 @@ void gemm_blocked(const kernels::KernelTable& kt, kernels::MicroKernelFn mk,
       const Index bnk = static_cast<Index>(bptr[sb + 1] - bk0);
       for (Index sa = 0; sa < na_strips; ++sa) {
         const Index i = sa * MR;
-        const Index mv = std::min<Index>(static_cast<Index>(MR), m - i);
+        const Index mv = std::min<Index>(MR, m - i);
         const float* ap = adata + sa * depth * MR;
         const std::int64_t ak0 = aptr[sa];
         const Index ank = static_cast<Index>(aptr[sa + 1] - ak0);
@@ -268,7 +251,7 @@ void gemm_blocked(const kernels::KernelTable& kt, kernels::MicroKernelFn mk,
           kl = bnnz + bk0;
           nk = bnk;
         }
-        mk(depth, ap, bp, kl, nk, c + i * n + j, n, mv, nv);
+        kt.nn_4x8(depth, ap, bp, kl, nk, c + i * n + j, n, mv, nv);
       }
     }
   });
@@ -323,9 +306,8 @@ Tensor matmul_nn(const PackedMatrix& a, const Tensor& b) {
   count_gemm(a.rows, b.dim(1), a.depth);
   const kernels::KernelTable& kt = kernels::active();
   Tensor c({a.rows, b.dim(1)});
-  BSource bs{.raw = b.data(), .ld = b.dim(1), .k_major = true};
-  gemm_blocked<static_cast<int>(kStripA)>(kt, kt.nn_4x8, /*allow_axpy=*/true,
-                                          a, bs, b.dim(1), c.data());
+  BSource bs{.raw = b.data(), .ld = b.dim(1)};
+  gemm_blocked(kt, a, bs, b.dim(1), c.data());
   return c;
 }
 
@@ -338,8 +320,7 @@ Tensor matmul_nn(const Tensor& a, const PackedMatrix& b) {
   PackedMatrix pa = pack_rowmajor(a, kStripA);
   Tensor c({a.dim(0), b.rows});
   BSource bs{.packed = &b};
-  gemm_blocked<static_cast<int>(kStripA)>(kt, kt.nn_4x8, /*allow_axpy=*/true,
-                                          pa, bs, b.rows, c.data());
+  gemm_blocked(kt, pa, bs, b.rows, c.data());
   return c;
 }
 
@@ -361,9 +342,8 @@ Tensor matmul_nn(const Tensor& a, const Tensor& b) {
   }
   PackedMatrix pa = pack_rowmajor(a, kStripA);
   Tensor c({m, n});
-  BSource bs{.raw = b.data(), .ld = n, .k_major = true};
-  gemm_blocked<static_cast<int>(kStripA)>(kt, kt.nn_4x8, /*allow_axpy=*/true,
-                                          pa, bs, n, c.data());
+  BSource bs{.raw = b.data(), .ld = n};
+  gemm_blocked(kt, pa, bs, n, c.data());
   return c;
 }
 
@@ -376,9 +356,8 @@ Tensor matmul_tn(const PackedMatrix& a, const Tensor& b) {
   count_gemm(a.rows, b.dim(1), a.depth);
   const kernels::KernelTable& kt = kernels::active();
   Tensor c({a.rows, b.dim(1)});
-  BSource bs{.raw = b.data(), .ld = b.dim(1), .k_major = true};
-  gemm_blocked<static_cast<int>(kStripA)>(kt, kt.nn_4x8, /*allow_axpy=*/true,
-                                          a, bs, b.dim(1), c.data());
+  BSource bs{.raw = b.data(), .ld = b.dim(1)};
+  gemm_blocked(kt, a, bs, b.dim(1), c.data());
   return c;
 }
 
@@ -398,25 +377,119 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   }
   PackedMatrix pa = pack_colmajor(a, kStripA);
   Tensor c({m, n});
-  BSource bs{.raw = b.data(), .ld = n, .k_major = true};
-  gemm_blocked<static_cast<int>(kStripA)>(kt, kt.nn_4x8, /*allow_axpy=*/true,
-                                          pa, bs, n, c.data());
+  BSource bs{.raw = b.data(), .ld = n};
+  gemm_blocked(kt, pa, bs, n, c.data());
   return c;
 }
 
 // ---- NT: C[M,N] = A[M,K] · B[N,K]ᵀ -----------------------------------------
 
-Tensor matmul_nt(const Tensor& a, const PackedMatrix& b) {
+namespace {
+
+// The right operand of an NT call: the cached double rows of a PackedNt,
+// or raw row-major float B[N,K] converted block by block inside each task.
+struct NtSource {
+  const PackedNt* packed = nullptr;
+  const float* raw = nullptr;
+};
+
+// C[M,N] = A·Bᵀ through the table's nt_4x8 tile, in kNtKc blocks of K.
+// Per block, A's rows become k-major double strips and B's rows doubles,
+// and each 4×8 tile advances its chains over the block; the chains live in
+// a per-task double buffer between blocks and are rounded to float once
+// at the end, so every element is reference_nt's ascending-k double sum.
+// Parallel over kNC-column panels, each owned by one task: the output is
+// independent of the thread count.
+void gemm_nt(const kernels::KernelTable& kt, const Tensor& a,
+             const NtSource& b, Index n, float* c) {
+  const Index m = a.dim(0);
+  const Index depth = a.dim(1);
+  if (m == 0 || n == 0) return;
+  blocked_counter(kt.isa).add(1);
+  constexpr Index kTile = kStripA * kStripB;
+  const Index na_strips = (m + kStripA - 1) / kStripA;
+  const Index npanels = (n + kNC - 1) / kNC;
+  static obs::Histogram& panel_hist = obs::histogram("gemm.panel_ns");
+  util::parallel_for(0, static_cast<std::size_t>(npanels), [&](std::size_t pi) {
+    obs::ScopedTimer panel_timer(panel_hist);
+    const Index j0 = static_cast<Index>(pi) * kNC;
+    const Index jn = std::min<Index>(kNC, n - j0);
+    const Index nb_strips = (jn + kStripB - 1) / kStripB;
+    // Per-worker scratch, reused across calls: the A block strips, one
+    // converted B strip, and the panel's double accumulator tiles
+    // (acc[(sb*na_strips + sa)*kTile + j*kStripA + i]).
+    thread_local std::vector<double> ablk;
+    thread_local std::vector<double> bblk;
+    thread_local std::vector<double> acc;
+    ablk.resize(static_cast<std::size_t>(na_strips * kNtKc * kStripA));
+    bblk.resize(static_cast<std::size_t>(kStripB * kNtKc));
+    acc.assign(static_cast<std::size_t>(nb_strips * na_strips * kTile), 0.0);
+    for (Index k0 = 0; k0 < depth; k0 += kNtKc) {
+      const Index kc = std::min<Index>(kNtKc, depth - k0);
+      for (Index sa = 0; sa < na_strips; ++sa) {
+        const Index i = sa * kStripA;
+        kt.nt_pack_a(a.data() + i * depth + k0, depth,
+                     std::min<Index>(kStripA, m - i), kc,
+                     ablk.data() + sa * kc * kStripA);
+      }
+      // B strip outermost (stays in L1 across the sweep of A strips).
+      for (Index sb = 0; sb < nb_strips; ++sb) {
+        const Index j = j0 + sb * kStripB;
+        const Index nv = std::min<Index>(kStripB, n - j);
+        const double* bp;
+        Index ldb;
+        if (b.packed != nullptr) {
+          bp = b.packed->data.data() + j * depth + k0;
+          ldb = depth;
+        } else {
+          kt.nt_pack_b(b.raw + j * depth + k0, depth, nv, kc, bblk.data());
+          bp = bblk.data();
+          ldb = kc;
+        }
+        double* tiles = acc.data() + sb * na_strips * kTile;
+        for (Index sa = 0; sa < na_strips; ++sa) {
+          kt.nt_4x8(kc, ablk.data() + sa * kc * kStripA, bp, ldb,
+                    tiles + sa * kTile, nv);
+        }
+      }
+    }
+    for (Index sb = 0; sb < nb_strips; ++sb) {
+      const Index j = j0 + sb * kStripB;
+      const Index nv = std::min<Index>(kStripB, n - j);
+      for (Index sa = 0; sa < na_strips; ++sa) {
+        const Index i = sa * kStripA;
+        const Index mv = std::min<Index>(kStripA, m - i);
+        const double* tile = acc.data() + (sb * na_strips + sa) * kTile;
+        for (Index r = 0; r < mv; ++r) {
+          for (Index t = 0; t < nv; ++t) {
+            c[(i + r) * n + j + t] =
+                static_cast<float>(tile[t * kStripA + r]);
+          }
+        }
+      }
+    }
+  });
+}
+
+}  // namespace
+
+PackedNt pack_nt(const Tensor& b) {
+  check_rank2(b, "pack_nt");
+  PackedNt p;
+  p.rows = b.dim(0);
+  p.depth = b.dim(1);
+  p.data.assign(b.data(), b.data() + b.numel());
+  return p;
+}
+
+Tensor matmul_nt(const Tensor& a, const PackedNt& b) {
   check_rank2(a, "matmul_nt");
   check_inner(a.dim(1), b.depth, "matmul_nt");
   obs::Span span("gemm.nt");
   count_gemm(a.dim(0), b.rows, b.depth);
   const kernels::KernelTable& kt = kernels::active();
-  PackedMatrix pa = pack_rowmajor(a, kStripANt);
   Tensor c({a.dim(0), b.rows});
-  BSource bs{.packed = &b};
-  gemm_blocked<static_cast<int>(kStripANt)>(kt, kt.nt_2x8, /*allow_axpy=*/false,
-                                            pa, bs, b.rows, c.data());
+  gemm_nt(kt, a, NtSource{.packed = &b}, b.rows, c.data());
   return c;
 }
 
@@ -434,11 +507,8 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
     count_small_dispatch();
     return reference_nt(a, b);
   }
-  PackedMatrix pa = pack_rowmajor(a, kStripANt);
   Tensor c({m, n});
-  BSource bs{.raw = b.data(), .ld = k, .k_major = false};
-  gemm_blocked<static_cast<int>(kStripANt)>(kt, kt.nt_2x8, /*allow_axpy=*/false,
-                                            pa, bs, n, c.data());
+  gemm_nt(kt, a, NtSource{.raw = b.data()}, n, c.data());
   return c;
 }
 

@@ -6,35 +6,41 @@
 // i-k-j loops in ops.cpp with cache-blocked kernels while keeping results
 // byte-identical to them (and therefore identical for any --threads N):
 //
-//  - Operands are packed into register-tile strips: the register-tiled
-//    dimension is split into strips of kStripA (left operand, 4 rows;
-//    2 for the double-accumulating NT kernel) or kStripB (right operand,
-//    8 rows), stored strip-major as data[(s*depth + k)*strip + t] with
-//    zero padding past the edge, so the micro-kernel reads both operands
-//    at unit stride.
-//  - The micro-kernel holds a strip×strip accumulator tile in registers
-//    and runs the full depth (k) range per output element: one accumulator
-//    per element, k ascending — the exact operation sequence of the scalar
-//    loops, hence bit-identical output. NN/TN accumulate in float, NT in
-//    double (the repo's precision contract, DESIGN.md §5).
-//  - Work is threaded over kNC-column panels of C via util::parallel_for.
-//    Panels write disjoint columns and every element is computed by exactly
-//    one task, so results do not depend on the thread count.
-//  - Packing records, per strip, the ascending list of k indices whose
-//    strip column contains any non-zero. The micro-kernel iterates the
-//    shorter of the two operands' lists; skipped terms have a zero factor
-//    and contribute ±0.0f, which never changes a finite accumulation, so
-//    the zero-skip of the scalar loops (pruned weight panels) is preserved
-//    bit-for-bit. Kernels assume finite inputs.
+//  - NN/TN: operands are packed into register-tile strips: the
+//    register-tiled dimension is split into strips of kStripA (left
+//    operand, 4 rows) or kStripB (right operand, 8 rows), stored
+//    strip-major as data[(s*depth + k)*strip + t] with zero padding past
+//    the edge, so the micro-kernel reads both operands at unit stride.
+//    The micro-kernel holds a 4×8 float accumulator tile in registers and
+//    runs the full depth (k) range per output element: one accumulator per
+//    element, k ascending — the exact operation sequence of the scalar
+//    loops, hence bit-identical output.
+//  - NN/TN packing records, per strip, the ascending list of k indices
+//    whose strip column contains any non-zero. The micro-kernel iterates
+//    the shorter of the two operands' lists; skipped terms have a zero
+//    factor and contribute ±0.0f, which never changes a finite
+//    accumulation, so the zero-skip of the scalar loops (pruned weight
+//    panels) is preserved bit-for-bit. NN/TN assume finite inputs.
 //  - A left operand below ~25% density (a DNS-pruned layer) switches to
 //    per-row axpy sweeps over its skip lists — the scalar loops' own
 //    strategy, which beats register tiles when most tile rows are zero —
 //    parallelized over C rows. Same bits on every path.
+//  - NT accumulates in double and skips nothing. It runs in K blocks of
+//    kNtKc: per block, A's rows are transposed into k-major double strips
+//    of 4 rows and B's rows are converted to doubles (a PackedNt right
+//    operand already is), then a 4×8 double tile advances each output
+//    element's single chain over the block, k ascending. The chains
+//    persist across blocks and are rounded to float once. A float·float
+//    product is exact in double, so this is reference_nt's sum term for
+//    term, for any input — non-finite ones included.
+//  - Work is threaded over kNC-column panels of C via util::parallel_for.
+//    Panels write disjoint columns and every element is computed by exactly
+//    one task, so results do not depend on the thread count.
 //
-// `PackedMatrix` is exposed so weight panels can be packed once and reused
-// across the thousands of forward/backward calls an attack makes against
-// frozen weights (see nn/packed_weights.h) and so the sparse CSR path can
-// feed pruned matrices straight into the same kernels.
+// `PackedMatrix` and `PackedNt` are exposed so weight panels can be packed
+// once and reused across the thousands of forward/backward calls an attack
+// makes against frozen weights (see nn/packed_weights.h) and so the sparse
+// CSR path can feed pruned matrices straight into the same kernels.
 #pragma once
 
 #include <cstdint>
@@ -44,16 +50,17 @@
 
 namespace con::tensor::gemm {
 
-// Register-tile strip widths. kStripA covers the left (M) operand of the
-// float kernels, kStripANt the left operand of the double-accumulating NT
-// kernel (half as many rows so the 2×8 double tile stays in registers),
-// kStripB the right (N) operand of all kernels.
+// Register-tile strip widths: kStripA rows of the left (M) operand and
+// kStripB rows of the right (N) operand, for the float and the NT tile
+// alike.
 inline constexpr Index kStripA = 4;
-inline constexpr Index kStripANt = 2;
 inline constexpr Index kStripB = 8;
 // Columns of C per cache panel and per parallel task. A multiple of
 // kStripB so strips never straddle panels.
 inline constexpr Index kNC = 256;
+// K per NT block: a 4-row A strip of it is 8 KiB of doubles and an 8-row B
+// strip 16 KiB, so both stay in L1 while the tile sweeps them.
+inline constexpr Index kNtKc = 256;
 
 // One GEMM operand packed into register-tile strips. `rows` is the
 // register-tiled dimension (M for a left operand, N for a right operand),
@@ -79,11 +86,22 @@ struct PackedMatrix {
   }
 };
 
+// The right operand of an NT product, B[N,K], converted once to what the
+// NT tile reads: B's rows as doubles, row-major. The Linear cache holds W
+// this way, so a forward call converts nothing.
+struct PackedNt {
+  Index rows = 0;   // N
+  Index depth = 0;  // K
+  std::vector<double> data;  // data[j*depth + k] = B[j][k]
+};
+
 // Pack a logical [rows, depth] operand stored row-major (m.dim(0) = rows).
 [[nodiscard]] PackedMatrix pack_rowmajor(const Tensor& m, Index strip);
 // Pack a logical [rows, depth] operand stored as its transpose
 // (m.dim(0) = depth, m.dim(1) = rows).
 [[nodiscard]] PackedMatrix pack_colmajor(const Tensor& m, Index strip);
+// Convert a row-major B[N,K] (b.dim(0) = N) into the NT tile's layout.
+[[nodiscard]] PackedNt pack_nt(const Tensor& b);
 
 // C[M,N] = A[M,K] · B[K,N]. Packed forms: A = pack_rowmajor(a, kStripA),
 // B = pack_colmajor(b, kStripB). Float accumulators.
@@ -96,10 +114,10 @@ struct PackedMatrix {
 [[nodiscard]] Tensor matmul_tn(const Tensor& a, const Tensor& b);
 [[nodiscard]] Tensor matmul_tn(const PackedMatrix& a, const Tensor& b);
 
-// C[M,N] = A[M,K] · B[N,K]ᵀ. Packed B = pack_rowmajor(b, kStripB).
-// Double accumulators (dot-product-shaped reduction; DESIGN.md §5).
+// C[M,N] = A[M,K] · B[N,K]ᵀ. Packed B = pack_nt(b). Double accumulators
+// (dot-product-shaped reduction; DESIGN.md §5), no zero-skip.
 [[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor matmul_nt(const Tensor& a, const PackedMatrix& b);
+[[nodiscard]] Tensor matmul_nt(const Tensor& a, const PackedNt& b);
 
 // The pre-blocking scalar loops, kept as the correctness oracle for
 // tests/test_gemm.cpp and the before/after baseline in bench_micro_ops.

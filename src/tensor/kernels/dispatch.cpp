@@ -33,7 +33,9 @@ const KernelTable* scalar_table() {
     k.isa = Isa::kScalar;
     k.small_gemm_flops = kScalarSmallGemmFlops;
     k.nn_4x8 = &scalar::nn_4x8;
-    k.nt_2x8 = &scalar::nt_2x8;
+    k.nt_4x8 = &scalar::nt_4x8;
+    k.nt_pack_a = &scalar::nt_pack_a;
+    k.nt_pack_b = &scalar::nt_pack_b;
     k.axpy = &scalar::axpy;
     k.axpy_out = &scalar::axpy_out;
     k.add = &scalar::add;

@@ -17,10 +17,12 @@
 //    pre-dispatch code ran, and the fallback on hosts without AVX2+FMA.
 //  - The float register tile (`nn_4x8`) keeps one accumulator chain per
 //    output element, k ascending, with separate multiply and add. The
-//    double-accumulating NT tile is exact per product (float products are
-//    exact in double, so fused and unfused rounding agree). The sparse
-//    row-axpy and the elementwise entries are vectorized with separate
-//    multiply and add — never contracted.
+//    double-accumulating NT tile (`nt_4x8`) is exact per product (float
+//    products are exact in double, so fused and unfused rounding agree)
+//    and has no skip lists: it adds every term, as reference_nt does. Its
+//    packers (`nt_pack_a`, `nt_pack_b`) only convert float to double,
+//    which is exact. The sparse row-axpy and the elementwise entries are
+//    vectorized with separate multiply and add — never contracted.
 //  - The int8 entries (`int8_4x16`, `quant_i8`, `requant_*`) are integer
 //    arithmetic end to end (DESIGN.md §5, "Integer precision contract").
 //    The only float steps are exact: power-of-two scaling and int→float
@@ -36,14 +38,34 @@ namespace con::tensor::kernels {
 enum class Isa : int { kScalar = 0, kAvx2 = 1 };
 inline constexpr int kNumIsas = 2;
 
-// Register-tile GEMM micro-kernel: one MR×NR accumulator tile over packed
-// strips (ap[k*MR + i], bp[k*NR + j]), full depth per output element in
-// ascending k. `klist == nullptr` runs the dense loop; otherwise only the
+// Float register-tile GEMM micro-kernel: one MR×NR accumulator tile over
+// packed strips (ap[k*MR + i], bp[k*NR + j]), full depth per output element
+// in ascending k. `klist == nullptr` runs the dense loop; otherwise only the
 // listed k are visited (every elided term has a zero factor — see gemm.h).
 // Writes the mv×nv valid corner of the tile to c (leading dimension ldc).
 using MicroKernelFn = void (*)(Index depth, const float* ap, const float* bp,
                                const std::int32_t* klist, Index nk, float* c,
                                Index ldc, Index mv, Index nv);
+
+// NT register tile: up to a 4×8 block of C accumulated in double, one
+// chain per output element. `ap` is a k-major strip of 4 A rows
+// (ap[k*4 + i]), `bp` points at nv ≤ 8 B rows (bp[j*ldb + k]), both
+// already converted to double. `acc` holds the tile column by column
+// (acc[j*4 + i], j < nv); the kernel loads it, adds a[i]·b[j] for
+// k = 0 … kn-1 in ascending order, and stores it back, so a caller can run
+// one chain across several K blocks.
+using NtTileFn = void (*)(Index kn, const double* ap, const double* bp,
+                          Index ldb, double* acc, Index nv);
+// Builds the NT tile's A strip: rows i < mv of a row-major float block
+// (a[i*lda + k], k < kc) transposed to k-major doubles dst[k*4 + i], rows
+// mv..3 zero. float→double is exact, so every ISA writes the same bytes.
+using NtPackAFn = void (*)(const float* a, Index lda, Index mv, Index kc,
+                           double* dst);
+// Builds the NT tile's B rows: rows j < nv of a row-major float block
+// (b[j*ldb + k], k < kc) converted to doubles dst[j*kc + k]. Exact, so
+// every ISA writes the same bytes.
+using NtPackBFn = void (*)(const float* b, Index ldb, Index nv, Index kc,
+                           double* dst);
 
 // dst[i] += a * src[i]  (the sparse row-axpy inner sweep and attack-step
 // updates; never FMA-contracted, bit-identical on every ISA).
@@ -115,7 +137,9 @@ struct KernelTable {
   // amortises packing earlier, so the crossover drops (gemm.cpp).
   Index small_gemm_flops = 0;
   MicroKernelFn nn_4x8 = nullptr;  // float accumulators, MR = gemm::kStripA
-  MicroKernelFn nt_2x8 = nullptr;  // double accumulators, MR = gemm::kStripANt
+  NtTileFn nt_4x8 = nullptr;       // double accumulators, no zero-skip
+  NtPackAFn nt_pack_a = nullptr;  // NT A strip: transpose to double
+  NtPackBFn nt_pack_b = nullptr;  // NT B rows: convert to double
   AxpyFn axpy = nullptr;
   AxpyOutFn axpy_out = nullptr;
   BinFn add = nullptr;

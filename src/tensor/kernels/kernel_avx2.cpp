@@ -5,16 +5,17 @@
 // functions are only reached through the dispatch table after the runtime
 // cpuid probe confirms the host executes them. `-ffp-contract=off` matters:
 // the one fused multiply-add below is the explicit _mm256_fmadd_pd of the
-// double NT kernel, and every float multiply+add stays unfused — the
+// double NT tile, and every float multiply+add stays unfused — the
 // compiler may not re-contract them, or the bit-identity contract
 // (dispatch.h) would silently break.
 //
 // Every entry is bit-identical to the scalar table (DESIGN.md §5):
 //  - nn_4x8: float accumulators, one chain per output element, k ascending,
 //    separate multiply and add — the scalar operation sequence per lane.
-//  - nt_2x8: double accumulators, ascending k, one chain per element. A
-//    product of two floats is exact in double (24+24 < 53 mantissa bits),
-//    so fused and unfused rounding agree.
+//  - nt_4x8: double accumulators, ascending k, one chain per element, no
+//    skip lists (every term is added, as in reference_nt). A product of
+//    two floats is exact in double (24+24 < 53 mantissa bits), so fused
+//    and unfused rounding agree.
 //  - axpy / elementwise: multiply and add kept separate.
 //  - int8: integer arithmetic, exact in any order.
 #include "tensor/kernels/dispatch.h"
@@ -72,50 +73,106 @@ void nn_4x8_avx2(Index depth, const float* __restrict ap,
   }
 }
 
-// Double-accumulating NT kernel, MR=2 (gemm::kStripANt), NR=8. One chain
-// per output element in ascending k, exactly like the scalar kernel —
-// float·float products are exact in double, so this is bit-identical to it
-// (the claim tests/test_kernels.cpp asserts with ASSERT_EQ).
-void nt_2x8_avx2(Index depth, const float* __restrict ap,
-                 const float* __restrict bp,
-                 const std::int32_t* __restrict klist, Index nk, float* c,
-                 Index ldc, Index mv, Index nv) {
-  __m256d a0lo = _mm256_setzero_pd(), a0hi = a0lo;  // row 0, cols 0-3 / 4-7
-  __m256d a1lo = a0lo, a1hi = a0lo;                 // row 1
-  auto step = [&](Index k) {
-    const __m256 bf = _mm256_loadu_ps(bp + k * 8);
-    const __m256d blo = _mm256_cvtps_pd(_mm256_castps256_ps128(bf));
-    const __m256d bhi = _mm256_cvtps_pd(_mm256_extractf128_ps(bf, 1));
-    const __m256d av0 = _mm256_set1_pd(static_cast<double>(ap[k * 2 + 0]));
-    const __m256d av1 = _mm256_set1_pd(static_cast<double>(ap[k * 2 + 1]));
-    a0lo = _mm256_fmadd_pd(av0, blo, a0lo);
-    a0hi = _mm256_fmadd_pd(av0, bhi, a0hi);
-    a1lo = _mm256_fmadd_pd(av1, blo, a1lo);
-    a1hi = _mm256_fmadd_pd(av1, bhi, a1hi);
-  };
-  if (klist == nullptr) {
-    for (Index k = 0; k < depth; ++k) step(k);
-  } else {
-    for (Index t = 0; t < nk; ++t) step(klist[t]);
+// NT tile in double (dispatch.h NtTileFn), one instantiation per column
+// count so a tail strip runs only its live columns. NV ymm accumulators,
+// one per C column, each holding that column's 4 rows; per k one load of
+// the A strip and NV memory broadcasts of B feed NV FMAs. Every output
+// element is one chain in ascending k, exactly like the scalar kernel, and
+// float·float products are exact in double, so the explicit FMA rounds
+// like the scalar multiply-then-add: bit-identical (the claim
+// tests/test_kernels.cpp asserts bitwise).
+template <int NV>
+void nt_tile_avx2(Index kn, const double* __restrict ap,
+                  const double* __restrict bp, Index ldb,
+                  double* __restrict acc) {
+  __m256d c[NV];
+  const double* b[NV];
+  for (int j = 0; j < NV; ++j) {
+    c[j] = _mm256_loadu_pd(acc + j * 4);
+    b[j] = bp + j * ldb;
   }
-  const __m128 r0lo = _mm256_cvtpd_ps(a0lo);
-  const __m128 r0hi = _mm256_cvtpd_ps(a0hi);
-  const __m128 r1lo = _mm256_cvtpd_ps(a1lo);
-  const __m128 r1hi = _mm256_cvtpd_ps(a1hi);
-  if (mv == 2 && nv == 8) {
-    _mm_storeu_ps(c + 0 * ldc + 0, r0lo);
-    _mm_storeu_ps(c + 0 * ldc + 4, r0hi);
-    _mm_storeu_ps(c + 1 * ldc + 0, r1lo);
-    _mm_storeu_ps(c + 1 * ldc + 4, r1hi);
-  } else {
-    alignas(32) float tile[2][8];
-    _mm_store_ps(tile[0] + 0, r0lo);
-    _mm_store_ps(tile[0] + 4, r0hi);
-    _mm_store_ps(tile[1] + 0, r1lo);
-    _mm_store_ps(tile[1] + 4, r1hi);
-    for (Index i = 0; i < mv; ++i) {
-      for (Index j = 0; j < nv; ++j) c[i * ldc + j] = tile[i][j];
+  auto step = [&](Index k) {
+    const __m256d a = _mm256_loadu_pd(ap + k * 4);
+    for (int j = 0; j < NV; ++j) {
+      c[j] = _mm256_fmadd_pd(a, _mm256_broadcast_sd(b[j] + k), c[j]);
     }
+  };
+  // Unrolled by 4 so the address arithmetic is shared; k stays ascending.
+  Index k = 0;
+  for (; k + 4 <= kn; k += 4) {
+    step(k);
+    step(k + 1);
+    step(k + 2);
+    step(k + 3);
+  }
+  for (; k < kn; ++k) step(k);
+  for (int j = 0; j < NV; ++j) _mm256_storeu_pd(acc + j * 4, c[j]);
+}
+
+void nt_4x8_avx2(Index kn, const double* ap, const double* bp, Index ldb,
+                 double* acc, Index nv) {
+  switch (nv) {
+    case 1: return nt_tile_avx2<1>(kn, ap, bp, ldb, acc);
+    case 2: return nt_tile_avx2<2>(kn, ap, bp, ldb, acc);
+    case 3: return nt_tile_avx2<3>(kn, ap, bp, ldb, acc);
+    case 4: return nt_tile_avx2<4>(kn, ap, bp, ldb, acc);
+    case 5: return nt_tile_avx2<5>(kn, ap, bp, ldb, acc);
+    case 6: return nt_tile_avx2<6>(kn, ap, bp, ldb, acc);
+    case 7: return nt_tile_avx2<7>(kn, ap, bp, ldb, acc);
+    default: return nt_tile_avx2<8>(kn, ap, bp, ldb, acc);
+  }
+}
+
+// The NT tile's A strip (dispatch.h NtPackAFn): per 4 k, four row loads
+// widened to double, then a 4×4 transpose (unpack + lane permute) into
+// four k-major stores. A pure conversion and shuffle, so the bytes equal
+// the scalar entry's.
+void nt_pack_a_avx2(const float* a, Index lda, Index mv, Index kc,
+                    double* dst) {
+  // Rows past mv are never read; their pointers just stay in bounds.
+  const float* r0 = a;
+  const float* r1 = mv > 1 ? a + lda : a;
+  const float* r2 = mv > 2 ? a + 2 * lda : a;
+  const float* r3 = mv > 3 ? a + 3 * lda : a;
+  const __m128 zero = _mm_setzero_ps();
+  Index k = 0;
+  for (; k + 4 <= kc; k += 4) {
+    const __m256d x0 = _mm256_cvtps_pd(_mm_loadu_ps(r0 + k));
+    const __m256d x1 = _mm256_cvtps_pd(mv > 1 ? _mm_loadu_ps(r1 + k) : zero);
+    const __m256d x2 = _mm256_cvtps_pd(mv > 2 ? _mm_loadu_ps(r2 + k) : zero);
+    const __m256d x3 = _mm256_cvtps_pd(mv > 3 ? _mm_loadu_ps(r3 + k) : zero);
+    const __m256d t0 = _mm256_unpacklo_pd(x0, x1);  // r0k0 r1k0 r0k2 r1k2
+    const __m256d t1 = _mm256_unpackhi_pd(x0, x1);  // r0k1 r1k1 r0k3 r1k3
+    const __m256d t2 = _mm256_unpacklo_pd(x2, x3);
+    const __m256d t3 = _mm256_unpackhi_pd(x2, x3);
+    double* d = dst + k * 4;
+    _mm256_storeu_pd(d + 0, _mm256_permute2f128_pd(t0, t2, 0x20));
+    _mm256_storeu_pd(d + 4, _mm256_permute2f128_pd(t1, t3, 0x20));
+    _mm256_storeu_pd(d + 8, _mm256_permute2f128_pd(t0, t2, 0x31));
+    _mm256_storeu_pd(d + 12, _mm256_permute2f128_pd(t1, t3, 0x31));
+  }
+  for (; k < kc; ++k) {
+    dst[k * 4 + 0] = r0[k];
+    dst[k * 4 + 1] = mv > 1 ? r1[k] : 0.0;
+    dst[k * 4 + 2] = mv > 2 ? r2[k] : 0.0;
+    dst[k * 4 + 3] = mv > 3 ? r3[k] : 0.0;
+  }
+}
+
+// The NT tile's B rows (dispatch.h NtPackBFn): 4 floats widened per
+// instruction; the k tail runs the scalar entry.
+void nt_pack_b_avx2(const float* b, Index ldb, Index nv, Index kc,
+                    double* dst) {
+  for (Index j = 0; j < nv; ++j) {
+    const float* src = b + j * ldb;
+    double* row = dst + j * kc;
+    Index k = 0;
+    for (; k + 8 <= kc; k += 8) {
+      _mm256_storeu_pd(row + k, _mm256_cvtps_pd(_mm_loadu_ps(src + k)));
+      _mm256_storeu_pd(row + k + 4,
+                       _mm256_cvtps_pd(_mm_loadu_ps(src + k + 4)));
+    }
+    scalar::nt_pack_b(src + k, ldb, 1, kc - k, row + k);
   }
 }
 
@@ -448,7 +505,9 @@ const KernelTable* avx2_table() {
     // hosts. Both sides of the crossover give the same bits.
     k.small_gemm_flops = 1 << 13;
     k.nn_4x8 = &nn_4x8_avx2;
-    k.nt_2x8 = &nt_2x8_avx2;
+    k.nt_4x8 = &nt_4x8_avx2;
+    k.nt_pack_a = &nt_pack_a_avx2;
+    k.nt_pack_b = &nt_pack_b_avx2;
     k.axpy = &axpy_avx2;
     k.axpy_out = &axpy_out_avx2;
     k.add = &add_avx2;

@@ -4,10 +4,13 @@
 // These are the exact loops tensor/gemm.cpp and tensor/ops.cpp ran before
 // the dispatch layer existed — moved here verbatim so the scalar table
 // entry, the AVX2 TU's remainder handling, and the oracle tests all share
-// one definition. Keep the operation sequences byte-for-byte: one
-// accumulator per output element fed the full k range in ascending order,
-// no reassociation, no FMA (DESIGN.md §5). The vector kernels copy these
-// sequences per lane; changing one here changes what they must match.
+// one definition — plus the NT tile and its packers, which run
+// gemm::reference_nt's per-element double sum over K blocks with no skip
+// lists. Keep the operation sequences byte-for-byte: one accumulator per
+// output element fed the full k range in ascending order, no
+// reassociation, no FMA of float terms (DESIGN.md §5). The vector kernels
+// copy these sequences per lane; changing one here changes what they must
+// match.
 #pragma once
 
 #include <algorithm>
@@ -18,67 +21,95 @@
 
 namespace con::tensor::kernels::scalar {
 
-// The register-tile micro-kernel (gemm.h): one MR×NR accumulator tile,
-// full depth per output element, k ascending — the pre-blocking scalar
-// loops' exact operation sequence. `klist == nullptr` runs the dense loop;
-// otherwise only the listed k are visited, and rows whose A value is zero
-// are skipped too — every elided term has a zero factor. Writes the mv×nv
-// valid corner of the tile to C.
+// The float register-tile micro-kernel (gemm.h): one 4×8 accumulator
+// tile, full depth per output element, k ascending — the pre-blocking
+// scalar loops' exact operation sequence. `klist == nullptr` runs the
+// dense loop; otherwise only the listed k are visited, and rows whose A
+// value is zero are skipped too — every elided term has a zero factor.
+// Writes the mv×nv valid corner of the tile to C.
 // conlint:hotpath begin
-template <int MR, int NR, typename Acc>
-inline void micro_kernel(Index depth, const float* __restrict ap,
-                         const float* __restrict bp,
-                         const std::int32_t* __restrict klist, Index nk,
-                         float* __restrict c, Index ldc, Index mv, Index nv) {
-  Acc acc[MR][NR] = {};
+inline void nn_4x8(Index depth, const float* __restrict ap,
+                   const float* __restrict bp,
+                   const std::int32_t* __restrict klist, Index nk,
+                   float* __restrict c, Index ldc, Index mv, Index nv) {
+  float acc[4][8] = {};
   if (klist == nullptr) {
     for (Index k = 0; k < depth; ++k) {
-      const float* __restrict av = ap + k * MR;
-      const float* __restrict bv = bp + k * NR;
-      for (int i = 0; i < MR; ++i) {
-        const Acc a = static_cast<Acc>(av[i]);
-        for (int j = 0; j < NR; ++j) acc[i][j] += a * static_cast<Acc>(bv[j]);
+      const float* __restrict av = ap + k * 4;
+      const float* __restrict bv = bp + k * 8;
+      for (int i = 0; i < 4; ++i) {
+        const float a = av[i];
+        for (int j = 0; j < 8; ++j) acc[i][j] += a * bv[j];
       }
     }
   } else {
     for (Index t = 0; t < nk; ++t) {
       const Index k = klist[t];
-      const float* __restrict av = ap + k * MR;
-      const float* __restrict bv = bp + k * NR;
-      for (int i = 0; i < MR; ++i) {
-        const Acc a = static_cast<Acc>(av[i]);
-        if (a == Acc(0)) continue;  // pruned row within a live strip column
-        for (int j = 0; j < NR; ++j) acc[i][j] += a * static_cast<Acc>(bv[j]);
+      const float* __restrict av = ap + k * 4;
+      const float* __restrict bv = bp + k * 8;
+      for (int i = 0; i < 4; ++i) {
+        const float a = av[i];
+        if (a == 0.0f) continue;  // pruned row within a live strip column
+        for (int j = 0; j < 8; ++j) acc[i][j] += a * bv[j];
       }
     }
   }
-  if (mv == MR && nv == NR) {
-    for (int i = 0; i < MR; ++i) {
-      for (int j = 0; j < NR; ++j) {
-        c[i * ldc + j] = static_cast<float>(acc[i][j]);
-      }
+  if (mv == 4 && nv == 8) {
+    for (int i = 0; i < 4; ++i) {
+      for (int j = 0; j < 8; ++j) c[i * ldc + j] = acc[i][j];
     }
   } else {
     for (Index i = 0; i < mv; ++i) {
-      for (Index j = 0; j < nv; ++j) {
-        c[i * ldc + j] = static_cast<float>(acc[i][j]);
-      }
+      for (Index j = 0; j < nv; ++j) c[i * ldc + j] = acc[i][j];
+    }
+  }
+}
+
+// The NT tile (dispatch.h NtTileFn): reference_nt's per-element sum,
+// `acc += double(a) * double(b)` for every k in ascending order, nothing
+// skipped, resumed from and saved to the caller's double tile. The
+// product of two floats is exact in double, so any ISA that adds the same
+// products in the same order — fused or not — gets these bits.
+inline void nt_4x8(Index kn, const double* __restrict ap,
+                   const double* __restrict bp, Index ldb,
+                   double* __restrict acc, Index nv) {
+  double t[8][4];
+  for (Index j = 0; j < nv; ++j) {
+    for (int i = 0; i < 4; ++i) t[j][i] = acc[j * 4 + i];
+  }
+  for (Index k = 0; k < kn; ++k) {
+    const double* __restrict av = ap + k * 4;
+    for (Index j = 0; j < nv; ++j) {
+      const double b = bp[j * ldb + k];
+      for (int i = 0; i < 4; ++i) t[j][i] += av[i] * b;
+    }
+  }
+  for (Index j = 0; j < nv; ++j) {
+    for (int i = 0; i < 4; ++i) acc[j * 4 + i] = t[j][i];
+  }
+}
+
+// The NT tile's B rows (dispatch.h NtPackBFn).
+inline void nt_pack_b(const float* __restrict b, Index ldb, Index nv,
+                      Index kc, double* __restrict dst) {
+  for (Index j = 0; j < nv; ++j) {
+    for (Index k = 0; k < kc; ++k) dst[j * kc + k] = b[j * ldb + k];
+  }
+}
+
+// The NT tile's A strip (dispatch.h NtPackAFn).
+inline void nt_pack_a(const float* __restrict a, Index lda, Index mv,
+                      Index kc, double* __restrict dst) {
+  for (Index i = 0; i < 4; ++i) {
+    if (i < mv) {
+      const float* src = a + i * lda;
+      for (Index k = 0; k < kc; ++k) dst[k * 4 + i] = src[k];
+    } else {
+      for (Index k = 0; k < kc; ++k) dst[k * 4 + i] = 0.0;
     }
   }
 }
 // conlint:hotpath end
-
-inline void nn_4x8(Index depth, const float* ap, const float* bp,
-                   const std::int32_t* klist, Index nk, float* c, Index ldc,
-                   Index mv, Index nv) {
-  micro_kernel<4, 8, float>(depth, ap, bp, klist, nk, c, ldc, mv, nv);
-}
-
-inline void nt_2x8(Index depth, const float* ap, const float* bp,
-                   const std::int32_t* klist, Index nk, float* c, Index ldc,
-                   Index mv, Index nv) {
-  micro_kernel<2, 8, double>(depth, ap, bp, klist, nk, c, ldc, mv, nv);
-}
 
 // ---- int8 integer path (the bit-exact oracle for every ISA) -----------------
 // Integer arithmetic end to end: the SIMD variants reorder freely (integer

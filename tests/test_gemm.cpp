@@ -4,6 +4,10 @@
 // not a tolerance creep.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "compress/pruner.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
@@ -11,6 +15,7 @@
 #include "nn/sequential.h"
 #include "sparse/csr.h"
 #include "tensor/gemm.h"
+#include "tensor/kernels/dispatch.h"
 #include "tensor/ops.h"
 #include "test_helpers.h"
 
@@ -34,14 +39,20 @@ Tensor random_matrix(Index rows, Index cols, std::uint64_t seed,
   return t;
 }
 
-void expect_bitwise_equal(const Tensor& a, const Tensor& b) {
-  ASSERT_EQ(a.shape(), b.shape());
-  for (Index i = 0; i < a.numel(); ++i) {
-    ASSERT_EQ(a[i], b[i]) << "element " << i;
+// True bit equality, so NaN results compare too.
+void expect_bitwise_equal(const Tensor& want, const Tensor& got,
+                          const std::string& what = "") {
+  ASSERT_EQ(want.shape(), got.shape()) << what;
+  for (Index i = 0; i < want.numel(); ++i) {
+    std::uint32_t bw, bg;
+    std::memcpy(&bw, want.data() + i, 4);
+    std::memcpy(&bg, got.data() + i, 4);
+    ASSERT_EQ(bw, bg) << what << " element " << i << ": " << want[i]
+                      << " vs " << got[i];
   }
 }
 
-// Shapes straddling every tail case of the 4/2-row A strips, 8-row B
+// Shapes straddling every tail case of the 4-row A strips, 8-row B
 // strips, and the 256-column panel.
 const Index kOddDims[] = {1, 7, 8, 9, 63, 64, 65};
 
@@ -84,8 +95,104 @@ TEST(GemmBlocked, MatchesReferenceNtAcrossOddShapes) {
         Tensor b = random_matrix(n, k, 600 + k * 31 + n);  // stores Bᵀ
         Tensor ref = reference_nt(a, b);
         expect_bitwise_equal(ref, gemm::matmul_nt(a, b));
-        expect_bitwise_equal(ref, matmul_nt(a, pack_rowmajor(b, kStripB)));
+        expect_bitwise_equal(ref, matmul_nt(a, pack_nt(b)));
       }
+    }
+  }
+}
+
+// Columns [j0, j0 + jn) of a row-major [M, N] tensor.
+Tensor column_slice(const Tensor& c, Index j0, Index jn) {
+  Tensor out({c.dim(0), jn});
+  for (Index i = 0; i < c.dim(0); ++i) {
+    for (Index j = 0; j < jn; ++j) out.at({i, j}) = c.at({i, j0 + j});
+  }
+  return out;
+}
+
+// Scalar, plus AVX2 where the host runs it.
+std::vector<kernels::Isa> kernel_tables() {
+  std::vector<kernels::Isa> isas = {kernels::Isa::kScalar};
+  if (kernels::isa_supported(kernels::Isa::kAvx2)) {
+    isas.push_back(kernels::Isa::kAvx2);
+  }
+  return isas;
+}
+
+// Both NT entry points against reference_nt, bit for bit, on the active
+// table. The suite's pool has 4 workers, so a call spanning several kNC
+// panels runs them on 4 threads. A call of at most one panel runs inline
+// on the calling thread, so multiplying each panel's rows of B on its own
+// is the 1-thread schedule of the same product.
+void expect_nt_matches_reference(const Tensor& a, const Tensor& b,
+                                 const Tensor& ref, const std::string& what) {
+  expect_bitwise_equal(ref, gemm::matmul_nt(a, b), what + " raw");
+  expect_bitwise_equal(ref, matmul_nt(a, pack_nt(b)), what + " packed");
+  const Index n = b.dim(0);
+  if (n <= kNC) return;
+  for (Index j0 = 0; j0 < n; j0 += kNC) {
+    const Index jn = std::min(kNC, n - j0);
+    const Tensor bp = copy_rows(b, j0, j0 + jn);
+    const Tensor want = column_slice(ref, j0, jn);
+    expect_bitwise_equal(want, gemm::matmul_nt(a, bp), what + " raw 1-thread");
+    expect_bitwise_equal(want, matmul_nt(a, pack_nt(bp)),
+                         what + " packed 1-thread");
+  }
+}
+
+TEST(GemmNt, MatchesReferenceAcrossKBlocksAndTails) {
+  // M and N cover the 4-row and 8-column tile tails and N > kNC (two
+  // panels); K covers one element, both sides of the kNtKc block edge and
+  // the conv weight-gradient depths (lenet5-small conv2 and conv1).
+  const Index ms[] = {1, 3, 4, 5, 8, 16, 32};
+  const Index ns[] = {1, 7, 8, 9, 27, 36, 72, 500};
+  const Index ks[] = {1, 255, 256, 257, 6272, 25088};
+  static_assert(kNtKc == 256, "K list straddles the NT block edge");
+  for (Index k : ks) {
+    for (Index m : ms) {
+      const Tensor a = random_matrix(m, k, 700 + m * 31 + k);
+      for (Index n : ns) {
+        const Tensor b = random_matrix(n, k, 800 + n * 31 + k);
+        const Tensor ref = reference_nt(a, b);
+        for (kernels::Isa isa : kernel_tables()) {
+          kernels::ScopedIsa scoped(isa);
+          expect_nt_matches_reference(
+              a, b, ref,
+              std::string(kernels::isa_name(isa)) + " " + std::to_string(m) +
+                  "x" + std::to_string(n) + "x" + std::to_string(k));
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmNt, NonFiniteInputsMatchReference) {
+  // NT skips no term, so Inf·0 turns an output into NaN and an Inf term
+  // survives, exactly as in reference_nt. (NN/TN skip zero terms and so
+  // assume finite inputs; NT does not.)
+  const float inf = std::numeric_limits<float>::infinity();
+  for (Index k : {Index{7}, Index{300}}) {
+    Tensor a = random_matrix(5, k, 900 + k);
+    Tensor b = random_matrix(9, k, 901 + k);
+    a.at({0, 3}) = inf;    // row 0 meets a zero below: NaN
+    for (Index j = 0; j < 9; ++j) b.at({j, 3}) = 0.0f;
+    a.at({1, k - 1}) = -inf;  // row 1: -Inf into every finite column...
+    b.at({2, k - 1}) = 0.0f;  // ...except column 2: NaN
+    a.at({1, 1}) = 1.0f;       // column 4: +Inf at k=1 meets row 1's
+    b.at({4, 1}) = inf;        // -Inf at k-1: NaN
+    b.at({4, k - 1}) = 1.0f;
+    const Tensor ref = reference_nt(a, b);
+    ASSERT_TRUE(std::isnan(ref.at({0, 0})));
+    ASSERT_TRUE(std::isinf(ref.at({1, 0})));
+    ASSERT_TRUE(std::isnan(ref.at({1, 2})));
+    ASSERT_TRUE(std::isnan(ref.at({1, 4})));
+    for (kernels::Isa isa : kernel_tables()) {
+      kernels::ScopedIsa scoped(isa);
+      const std::string what =
+          std::string(kernels::isa_name(isa)) + " k=" + std::to_string(k);
+      expect_bitwise_equal(ref, gemm::matmul_nt(a, b), what + " raw");
+      expect_bitwise_equal(ref, matmul_nt(a, pack_nt(b)), what + " packed");
     }
   }
 }

@@ -3,8 +3,9 @@
 //
 // The scalar table is the reference; this file checks every other table
 // against it under the precision contract of DESIGN.md §5: every entry —
-// float GEMM tiles (NN/TN, dense and zero-skip), the NT double tile, the
-// sparse row-axpy, elementwise, panel pack_row and all of int8 — is
+// float GEMM tiles (NN/TN, dense and zero-skip), the NT double tile and
+// its operand packers, the sparse row-axpy, elementwise, panel pack_row
+// and all of int8 — is
 // bit-identical to scalar at every tile-remainder shape, on random, pruned
 // and adversarially-scaled inputs. The dispatch surface is checked too:
 // first use activates the best supported ISA, unsupported requests fall
@@ -135,7 +136,9 @@ TEST(KernelDispatch, EveryActivatedTableIsFullyPopulated) {
     EXPECT_EQ(kt.isa, isa);
     EXPECT_GT(kt.small_gemm_flops, 0);
     EXPECT_NE(kt.nn_4x8, nullptr);
-    EXPECT_NE(kt.nt_2x8, nullptr);
+    EXPECT_NE(kt.nt_4x8, nullptr);
+    EXPECT_NE(kt.nt_pack_a, nullptr);
+    EXPECT_NE(kt.nt_pack_b, nullptr);
     EXPECT_NE(kt.axpy, nullptr);
     EXPECT_NE(kt.axpy_out, nullptr);
     EXPECT_NE(kt.add, nullptr);
@@ -288,13 +291,68 @@ TEST(KernelOracle, NtGemmBitIdentical) {
     for (const GemmCase& c : kGemmCases) {
       const Tensor x = make_input(c.m, c.k, 3000 + c.m, Fill::kScaled);
       const Tensor w = make_input(c.n, c.k, 4000 + c.n, Fill::kScaled);
-      const auto pw = gemm::pack_rowmajor(w, gemm::kStripB);
+      const auto pw = gemm::pack_nt(w);
       kernels::ScopedIsa scalar(kernels::Isa::kScalar);
       const Tensor want = gemm::matmul_nt(x, pw);
       kernels::ScopedIsa scoped(isa);
       const Tensor got = gemm::matmul_nt(x, pw);
       expect_bits_equal(want, got, "matmul_nt");
       if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(KernelOracle, NtTileAndPackersBitIdentical) {
+  // The NT entries called directly, at every live column count nv (1..8),
+  // every live row count mv (1..4), and depths around the 4-wide unroll and
+  // the packers' vector widths. The tile resumes from a non-zero double
+  // tile, as it does from one K block to the next.
+  for (kernels::Isa isa : supported_simd_isas()) {
+    for (Index kc : {1, 3, 4, 5, 8, 9, 31, 256}) {
+      const Tensor a = make_input(4, kc + 3, 900 + kc, Fill::kScaled);
+      const Tensor b = make_input(8, kc + 5, 950 + kc, Fill::kScaled);
+      for (Index mv = 1; mv <= 4; ++mv) {
+        std::vector<double> want(static_cast<std::size_t>(kc * 4), -7.0);
+        std::vector<double> got = want;
+        kernels::scalar::nt_pack_a(a.data(), kc + 3, mv, kc, want.data());
+        {
+          kernels::ScopedIsa scoped(isa);
+          kernels::active().nt_pack_a(a.data(), kc + 3, mv, kc, got.data());
+        }
+        ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                 want.size() * sizeof(double)))
+            << "nt_pack_a kc=" << kc << " mv=" << mv;
+      }
+      std::vector<double> ap(static_cast<std::size_t>(kc * 4));
+      kernels::scalar::nt_pack_a(a.data(), kc + 3, 4, kc, ap.data());
+      for (Index nv = 1; nv <= 8; ++nv) {
+        std::vector<double> bwant(static_cast<std::size_t>(nv * kc), -7.0);
+        std::vector<double> bgot = bwant;
+        kernels::scalar::nt_pack_b(b.data(), kc + 5, nv, kc, bwant.data());
+        {
+          kernels::ScopedIsa scoped(isa);
+          kernels::active().nt_pack_b(b.data(), kc + 5, nv, kc, bgot.data());
+        }
+        ASSERT_EQ(0, std::memcmp(bwant.data(), bgot.data(),
+                                 bwant.size() * sizeof(double)))
+            << "nt_pack_b kc=" << kc << " nv=" << nv;
+        // Start from a non-zero tile; untouched columns j >= nv keep -7.
+        std::vector<double> want(32, -7.0);
+        for (int e = 0; e < nv * 4; ++e) {
+          want[static_cast<std::size_t>(e)] = std::ldexp(1.0, -e);
+        }
+        std::vector<double> got = want;
+        kernels::scalar::nt_4x8(kc, ap.data(), bwant.data(), kc, want.data(),
+                                nv);
+        {
+          kernels::ScopedIsa scoped(isa);
+          kernels::active().nt_4x8(kc, ap.data(), bwant.data(), kc,
+                                   got.data(), nv);
+        }
+        ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                 want.size() * sizeof(double)))
+            << "nt_4x8 kc=" << kc << " nv=" << nv;
+      }
     }
   }
 }

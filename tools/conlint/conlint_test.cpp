@@ -319,23 +319,23 @@ TEST(Determinism, SeededEngineAndExemptPathsAreFine) {
   EXPECT_EQ(count_rule(fl4, "determinism"), 0);
 }
 
-TEST(Determinism, SamplerThreadClocksStayExemptUnderObs) {
-  // The telemetry sampler/stats-server threads legitimately read wall and
-  // steady clocks (sample timestamps, wait deadlines). They live in
-  // src/obs/, which the determinism rule exempts — but the exemption is
-  // path-based, so the same code pasted into src/core/ must still fire.
-  const std::string sampler_like =
+TEST(Determinism, ClockReadsStayExemptUnderObs) {
+  // Timing code legitimately reads wall and steady clocks (span
+  // timestamps, deadlines). It lives in src/obs/, which the determinism
+  // rule exempts — but the exemption is path-based, so the same code
+  // pasted into src/core/ must still fire.
+  const std::string clock_reader =
       "void run() {\n"
       "  auto deadline = std::chrono::steady_clock::now();\n"
       "  double t = std::chrono::system_clock::now()\n"
       "      .time_since_epoch().count();\n"
       "  (void)deadline; (void)t;\n"
       "}\n";
-  auto fl = run("src/obs/sampler.cpp", sampler_like);
+  auto fl = run("src/obs/obs.cpp", clock_reader);
   EXPECT_EQ(count_rule(fl, "determinism"), 0);
-  auto fl2 = run("src/obs/stats_server.cpp", sampler_like);
+  auto fl2 = run("src/obs/metrics.cpp", clock_reader);
   EXPECT_EQ(count_rule(fl2, "determinism"), 0);
-  auto fl3 = run("src/core/sampler.cpp", sampler_like);
+  auto fl3 = run("src/core/clock.cpp", clock_reader);
   EXPECT_EQ(count_rule(fl3, "determinism"), 2);
 }
 

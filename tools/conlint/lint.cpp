@@ -100,7 +100,7 @@ void rule_layer_reentrancy(const Toks& t, const Segmentation& seg,
                            Sink& sink) {
   // `mutable` members anywhere in a Layer-derived class body — unless the
   // member's type is a conlint:lockfree-annotated class (a reviewed
-  // internally-synchronised design, e.g. telemetry cells).
+  // internally-synchronised design, e.g. a lock-free metrics cell).
   for (const ClassRange& c : seg.classes) {
     if (layer_classes.count(c.name) == 0) continue;
     for (std::size_t i = c.open + 1; i < c.close; ++i) {
