@@ -521,15 +521,31 @@ void BM_LeNetForwardBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_LeNetForwardBackward);
 
-void BM_FixedPointQuantizeTensor(benchmark::State& state) {
-  Tensor w = random_tensor({static_cast<tensor::Index>(state.range(0))}, 11);
-  const auto fmt = compress::FixedPointFormat::paper_format(8);
+// The fake-quant kernel as QuantActivation runs it, at fig5's quant_relu1
+// shape (cifarnet-small conv1 output, batch 32: 32×8×32×32) in the paper's
+// 8-bit format, one slot reused as in training.
+void run_fake_quant(benchmark::State& state, Isa isa) {
+  if (!force_isa_or_skip(state, isa)) return;
+  tensor::kernels::ScopedIsa scoped(isa);
+  const compress::QuantActivation layer(
+      compress::FixedPointFormat::paper_format(8), "quant_relu1");
+  const Tensor x = random_tensor({32, 8, 32, 32}, 11);
+  nn::TapeSlot slot;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(compress::fixed_point_quantize(w, fmt));
+    benchmark::DoNotOptimize(layer.forward(x, /*train=*/true, slot));
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetItemsProcessed(state.iterations() * x.numel());
 }
-BENCHMARK(BM_FixedPointQuantizeTensor)->Arg(1 << 14)->Arg(1 << 18);
+
+void BM_FakeQuant(benchmark::State& state) {
+  run_fake_quant(state, Isa::kScalar);
+}
+BENCHMARK(BM_FakeQuant);
+
+void BM_FakeQuantAvx2(benchmark::State& state) {
+  run_fake_quant(state, Isa::kAvx2);
+}
+BENCHMARK(BM_FakeQuantAvx2);
 
 void BM_DnsMaskUpdate(benchmark::State& state) {
   nn::Sequential m = models::make_lenet5_small(12);

@@ -3,12 +3,18 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "tensor/kernels/dispatch.h"
+
 namespace con::compress {
 
 using tensor::Index;
 
 float FixedPointFormat::step() const {
   return std::ldexp(1.0f, -fraction_bits());
+}
+
+float FixedPointFormat::inv_step() const {
+  return std::ldexp(1.0f, fraction_bits());
 }
 
 float FixedPointFormat::lo() const {
@@ -37,39 +43,28 @@ std::string FixedPointFormat::to_string() const {
          " bits)";
 }
 
+void fake_quantize(const FixedPointFormat& fmt, const float* in, float* out,
+                   float* gate, Index n) {
+  tensor::kernels::active().fake_quant(out, gate, in, fmt.inv_step(),
+                                       fmt.step(), fmt.lo(), fmt.hi(), n);
+}
+
 float fixed_point_quantize(float v, const FixedPointFormat& fmt) {
-  const float s = fmt.step();
-  float q = std::nearbyint(v / s) * s;
-  const float lo = fmt.lo();
-  const float hi = fmt.hi();
-  if (q < lo) q = lo;
-  if (q > hi) q = hi;
+  float q = 0.0f, gate = 0.0f;
+  fake_quantize(fmt, &v, &q, &gate, 1);
   return q;
 }
 
 Tensor fixed_point_quantize(const Tensor& t, const FixedPointFormat& fmt) {
-  Tensor out = t;
-  for (float& v : out.flat()) v = fixed_point_quantize(v, fmt);
+  Tensor out(t.shape());
+  Tensor gate(t.shape());
+  fake_quantize(fmt, t.data(), out.data(), gate.data(), t.numel());
   return out;
 }
 
 void FixedPointWeightTransform::apply(const Tensor& raw, Tensor& effective,
                                       Tensor& gate) const {
-  const Index n = raw.numel();
-  const float* in = raw.data();
-  float* out = effective.data();
-  float* g = gate.data();
-  const float lo = fmt_.lo();
-  const float hi = fmt_.hi();
-  const float s = fmt_.step();
-  for (Index i = 0; i < n; ++i) {
-    float q = std::nearbyint(in[i] / s) * s;
-    const bool saturated = q < lo || q > hi;
-    if (q < lo) q = lo;
-    if (q > hi) q = hi;
-    out[i] = q;
-    g[i] = saturated ? 0.0f : 1.0f;
-  }
+  fake_quantize(fmt_, raw.data(), effective.data(), gate.data(), raw.numel());
 }
 
 std::string FixedPointWeightTransform::describe() const {

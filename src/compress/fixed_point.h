@@ -5,6 +5,12 @@
 // Paper bit allocations: "a 1-bit integer when bitwidth is 4, a 2-bit
 // integer when bitwidth is 8, and 4-bit integers for the rest" — encoded in
 // FixedPointFormat::paper_format().
+//
+// Every fake-quantisation in the tree — fixed_point_quantize, the weight
+// transform and QuantActivation's forward — runs through one loop,
+// fake_quantize, which is the kernel table's `fake_quant` entry
+// (tensor/kernels/dispatch.h): bit-identical on every ISA to
+// `nearbyint(x / step) * step` followed by saturation.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +28,9 @@ struct FixedPointFormat {
   int integer_bits = 4;  // includes the sign
 
   int fraction_bits() const { return total_bits - integer_bits; }
-  // Quantisation step 2^-f.
+  // Quantisation step 2^-f, and its exact inverse 2^f.
   float step() const;
+  float inv_step() const;
   // Saturation bounds [lo, hi]: lo = -2^(i-1), hi = 2^(i-1) - step.
   float lo() const;
   float hi() const;
@@ -33,6 +40,13 @@ struct FixedPointFormat {
 
   std::string to_string() const;
 };
+
+// Quantise n values: round half to even onto the grid, then saturate.
+// gate[i] is the saturating straight-through estimator's gradient gate:
+// 1 where the rounded value was representable, 0 where it saturated. `out`
+// may alias `in`.
+void fake_quantize(const FixedPointFormat& fmt, const float* in, float* out,
+                   float* gate, tensor::Index n);
 
 // Quantise a single value: round-to-nearest onto the grid, then saturate.
 float fixed_point_quantize(float v, const FixedPointFormat& fmt);

@@ -2,13 +2,10 @@
 
 #include <stdexcept>
 
-#include <cmath>
-
 #include "tensor/ops.h"
 
 namespace con::compress {
 
-using tensor::Index;
 using tensor::Tensor;
 
 QuantActivation::QuantActivation(FixedPointFormat fmt, std::string layer_name)
@@ -17,22 +14,13 @@ QuantActivation::QuantActivation(FixedPointFormat fmt, std::string layer_name)
 Tensor QuantActivation::forward(const Tensor& x, bool /*train*/,
                                 nn::TapeSlot& slot) const {
   Tensor y(x.shape());
-  slot.aux = Tensor(x.shape());
-  const Index n = x.numel();
-  const float* in = x.data();
-  float* out = y.data();
-  float* g = slot.aux.data();
-  const float lo = fmt_.lo();
-  const float hi = fmt_.hi();
-  const float s = fmt_.step();
-  for (Index i = 0; i < n; ++i) {
-    float q = std::nearbyint(in[i] / s) * s;
-    const bool saturated = q < lo || q > hi;
-    if (q < lo) q = lo;
-    if (q > hi) q = hi;
-    out[i] = q;
-    g[i] = saturated ? 0.0f : 1.0f;
+  // The gate overwrites every element, so a slot reused at the same shape
+  // keeps its storage as is. (A default slot's empty aux has rank 0 but no
+  // element, hence the numel test.)
+  if (slot.aux.shape() != x.shape() || slot.aux.numel() != x.numel()) {
+    slot.aux.resize(x.shape());
   }
+  fake_quantize(fmt_, x.data(), y.data(), slot.aux.data(), x.numel());
   return y;
 }
 

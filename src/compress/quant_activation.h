@@ -12,7 +12,11 @@ namespace con::compress {
 
 // Applies fixed-point quantisation to its input on forward; backward is the
 // saturating straight-through estimator (gradient passes where the value
-// was representable, is zeroed where it saturated).
+// was representable, is zeroed where it saturated). Forward is one
+// fake_quantize call (fixed_point.h, the kernel table's fake_quant entry):
+// it writes the output and the STE gate in one pass, the gate into the
+// slot's `aux` storage, which a slot reused at the same shape keeps. The
+// deployed-int8 pass runs the same forward as its requantising gates.
 class QuantActivation : public nn::Layer {
  public:
   explicit QuantActivation(FixedPointFormat fmt,

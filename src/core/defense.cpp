@@ -37,6 +37,7 @@ AdvTrainStats adversarial_train(nn::Sequential& model,
   std::iota(order.begin(), order.end(), Index{0});
 
   AdvTrainStats stats;
+  nn::ForwardTape tape(/*accumulate_param_grads=*/true);
   for (int epoch = 0; epoch < config.train.epochs; ++epoch) {
     if (config.train.use_paper_lr_schedule) {
       optimizer.set_learning_rate(schedule.lr_at_epoch(epoch));
@@ -77,9 +78,9 @@ AdvTrainStats adversarial_train(nn::Sequential& model,
         }
       }
       model.zero_grad();
-      Tensor logits = model.forward(batch, /*train=*/true);
+      Tensor logits = model.forward(batch, /*train=*/true, tape);
       nn::LossResult loss = nn::softmax_cross_entropy(logits, labels);
-      model.backward(loss.grad_logits);
+      model.backward_params(loss.grad_logits, tape);
       optimizer.step();
       ++stats.steps;
     }

@@ -149,7 +149,8 @@ Tensor Conv2d::forward_int8(const Tensor& x, const Int8FormatKey& key) const {
   return y;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_out, TapeSlot& slot) const {
+Tensor Conv2d::output_grad_columns(const Tensor& grad_out,
+                                   const TapeSlot& slot) const {
   const Index n = slot.batch;
   const Index oh = slot.geom.out_h(), ow = slot.geom.out_w();
   const Index plane = oh * ow;
@@ -159,37 +160,47 @@ Tensor Conv2d::backward(const Tensor& grad_out, TapeSlot& slot) const {
     throw std::invalid_argument(name() + ": bad grad_out shape " +
                                 grad_out.shape().to_string());
   }
-  // Gather the NCHW gradient into the [outC, N*P] layout of the forward
-  // GEMM output.
   const Index total = n * plane;
   Tensor go({spec_.out_channels, total});
-  {
-    const float* gd = grad_out.data();
-    float* god = go.data();
-    for (Index i = 0; i < n; ++i) {
-      for (Index c = 0; c < spec_.out_channels; ++c) {
-        std::memcpy(god + c * total + i * plane,
-                    gd + (i * spec_.out_channels + c) * plane,
-                    static_cast<std::size_t>(plane) * sizeof(float));
-      }
-    }
-  }
-  if (slot.accumulate_param_grads) {
-    // dW += go[outC, N*P] * cols[CKK, N*P]^T — one GEMM for the batch.
-    Tensor dw = tensor::matmul_nt(go, slot.columns);
-    tensor::add_inplace(weight_.grad, dw);
-    // db += row sums of go
-    float* bg = bias_.grad.data();
-    const float* god = go.data();
+  const float* gd = grad_out.data();
+  float* god = go.data();
+  for (Index i = 0; i < n; ++i) {
     for (Index c = 0; c < spec_.out_channels; ++c) {
-      double acc = 0.0;
-      for (Index p = 0; p < total; ++p) acc += god[c * total + p];
-      bg[c] += static_cast<float>(acc);
+      std::memcpy(god + c * total + i * plane,
+                  gd + (i * spec_.out_channels + c) * plane,
+                  static_cast<std::size_t>(plane) * sizeof(float));
     }
   }
+  return go;
+}
+
+void Conv2d::accumulate_param_grads(const Tensor& go,
+                                    const TapeSlot& slot) const {
+  if (!slot.accumulate_param_grads) return;
+  // dW += go[outC, N*P] * cols[CKK, N*P]^T — one GEMM for the batch.
+  Tensor dw = tensor::matmul_nt(go, slot.columns);
+  tensor::add_inplace(weight_.grad, dw);
+  // db += row sums of go
+  const Index total = go.dim(1);
+  float* bg = bias_.grad.data();
+  const float* god = go.data();
+  for (Index c = 0; c < spec_.out_channels; ++c) {
+    double acc = 0.0;
+    for (Index p = 0; p < total; ++p) acc += god[c * total + p];
+    bg[c] += static_cast<float>(acc);
+  }
+}
+
+Tensor Conv2d::backward(const Tensor& grad_out, TapeSlot& slot) const {
+  const Tensor go = output_grad_columns(grad_out, slot);
+  accumulate_param_grads(go, slot);
   // dcols[CKK, N*P] = W^T * go
   Tensor dcols = tensor::gemm::matmul_tn(slot.packed->bwd, go);
-  return tensor::col2im_batch(dcols, n, slot.geom);
+  return tensor::col2im_batch(dcols, slot.batch, slot.geom);
+}
+
+void Conv2d::backward_params(const Tensor& grad_out, TapeSlot& slot) const {
+  accumulate_param_grads(output_grad_columns(grad_out, slot), slot);
 }
 
 std::unique_ptr<Layer> Conv2d::clone() const {

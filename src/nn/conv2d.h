@@ -23,6 +23,7 @@ class Conv2d : public Layer {
 
   Tensor forward(const Tensor& x, bool train, TapeSlot& slot) const override;
   Tensor backward(const Tensor& grad_out, TapeSlot& slot) const override;
+  void backward_params(const Tensor& grad_out, TapeSlot& slot) const override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   std::unique_ptr<Layer> clone() const override;
 
@@ -39,6 +40,13 @@ class Conv2d : public Layer {
 
  private:
   Conv2d(const Conv2d&) = default;
+
+  // grad_out [N, outC, OH, OW] gathered into the [outC, N·P] layout of the
+  // forward GEMM output.
+  Tensor output_grad_columns(const Tensor& grad_out,
+                             const TapeSlot& slot) const;
+  // dW += go · colsᵀ and db += row sums of go, when the slot accumulates.
+  void accumulate_param_grads(const Tensor& go, const TapeSlot& slot) const;
 
   Conv2dSpec spec_;
   // weight stored as [out_channels, in_channels * k * k] for the matmul.

@@ -46,6 +46,16 @@ class Layer {
   // logit off one forward).
   virtual Tensor backward(const Tensor& grad_out, TapeSlot& slot) const = 0;
 
+  // backward() without the input gradient: accumulates exactly the
+  // parameter gradients backward() would, and forms no ∇x. Training calls
+  // it on the first layer that has parameters, whose ∇x nothing reads
+  // (Sequential::backward_params). Layers whose input-gradient product
+  // costs something override it; the default runs backward() and drops
+  // the result.
+  virtual void backward_params(const Tensor& grad_out, TapeSlot& slot) const {
+    (void)backward(grad_out, slot);
+  }
+
   virtual std::vector<Parameter*> parameters() { return {}; }
 
   const std::string& name() const { return name_; }

@@ -87,19 +87,22 @@ Tensor Linear::forward_int8(const Tensor& x, const Int8FormatKey& key) const {
   return y;
 }
 
-Tensor Linear::backward(const Tensor& grad_out, TapeSlot& slot) const {
+void Linear::backward_params(const Tensor& grad_out, TapeSlot& slot) const {
   if (grad_out.rank() != 2 || grad_out.dim(1) != out_features_ ||
       grad_out.dim(0) != slot.input.dim(0)) {
     throw std::invalid_argument(name() + ": bad grad_out shape " +
                                 grad_out.shape().to_string());
   }
-  if (slot.accumulate_param_grads) {
-    // dW[out, in] = grad_out[N, out]^T * x[N, in]
-    Tensor dw = tensor::matmul_tn(grad_out, slot.input);
-    tensor::add_inplace(weight_.grad, dw);
-    // db[out] = column sums of grad_out
-    tensor::column_sums_add_inplace(bias_.grad, grad_out);
-  }
+  if (!slot.accumulate_param_grads) return;
+  // dW[out, in] = grad_out[N, out]^T * x[N, in]
+  Tensor dw = tensor::matmul_tn(grad_out, slot.input);
+  tensor::add_inplace(weight_.grad, dw);
+  // db[out] = column sums of grad_out
+  tensor::column_sums_add_inplace(bias_.grad, grad_out);
+}
+
+Tensor Linear::backward(const Tensor& grad_out, TapeSlot& slot) const {
+  backward_params(grad_out, slot);
   // dx[N, in] = grad_out[N, out] * W[out, in]
   return tensor::gemm::matmul_nn(grad_out, slot.packed->bwd);
 }

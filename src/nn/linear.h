@@ -14,6 +14,7 @@ class Linear : public Layer {
 
   Tensor forward(const Tensor& x, bool train, TapeSlot& slot) const override;
   Tensor backward(const Tensor& grad_out, TapeSlot& slot) const override;
+  void backward_params(const Tensor& grad_out, TapeSlot& slot) const override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   std::unique_ptr<Layer> clone() const override;
 

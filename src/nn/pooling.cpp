@@ -39,8 +39,10 @@ Tensor MaxPool2d::forward(const Tensor& x, bool /*train*/,
       const Index plane_base = (i * c + ch) * h * w;
       for (Index py = 0; py < oh; ++py) {
         for (Index px = 0; px < ow; ++px, ++o) {
+          // A window of only -inf/NaN keeps its first element, so its
+          // gradient stays inside this image's window.
           float best = -std::numeric_limits<float>::infinity();
-          Index best_idx = 0;
+          Index best_idx = plane_base + py * stride_ * w + px * stride_;
           for (Index dy = 0; dy < window_; ++dy) {
             const Index yy = py * stride_ + dy;
             for (Index dx = 0; dx < window_; ++dx) {

@@ -43,26 +43,61 @@ Tensor Sequential::forward(const Tensor& x, bool train,
   return h;
 }
 
-Tensor Sequential::backward(const Tensor& grad_logits,
-                            ForwardTape& tape) const {
-  if (tape.size() < layers_.size()) {
+namespace {
+
+void check_backward_tape(const ForwardTape& tape, std::size_t num_layers) {
+  if (tape.size() < num_layers) {
     throw std::invalid_argument(
         "Sequential::backward: tape has no matching forward");
   }
-  if (layers_.empty()) return grad_logits;
-  obs::Span span(name_, "backward");
+}
+
+void count_backward_call() {
   static obs::Counter& calls = obs::counter("model.backward_calls");
   calls.add(1);
-  const auto backward_layer = [&](std::size_t i, const Tensor& g) {
-    const Layer& layer = *layers_[i];
-    obs::Span layer_span(layer.name(), "bwd");
-    obs::ScopedTimer timer(*timers_[i].backward_ns);
-    return layer.backward(g, tape.slot(i));
-  };
+}
+
+}  // namespace
+
+Tensor Sequential::backward_layer(std::size_t i, const Tensor& g,
+                                  ForwardTape& tape) const {
+  const Layer& layer = *layers_[i];
+  obs::Span span(layer.name(), "bwd");
+  obs::ScopedTimer timer(*timers_[i].backward_ns);
+  return layer.backward(g, tape.slot(i));
+}
+
+Tensor Sequential::backward(const Tensor& grad_logits,
+                            ForwardTape& tape) const {
+  check_backward_tape(tape, layers_.size());
+  if (layers_.empty()) return grad_logits;
+  obs::Span span(name_, "backward");
+  count_backward_call();
   const std::size_t last = layers_.size() - 1;
-  Tensor g = backward_layer(last, grad_logits);
-  for (std::size_t i = last; i-- > 0;) g = backward_layer(i, g);
+  Tensor g = backward_layer(last, grad_logits, tape);
+  for (std::size_t i = last; i-- > 0;) g = backward_layer(i, g, tape);
   return g;
+}
+
+void Sequential::backward_params(const Tensor& grad_logits,
+                                 ForwardTape& tape) const {
+  check_backward_tape(tape, layers_.size());
+  std::size_t first = 0;
+  while (first < layers_.size() && layers_[first]->parameters().empty()) {
+    ++first;
+  }
+  if (first == layers_.size()) return;  // nothing to accumulate into
+  obs::Span span(name_, "backward");
+  count_backward_call();
+  const std::size_t last = layers_.size() - 1;
+  Tensor g;
+  for (std::size_t i = last; i > first; --i) {
+    g = backward_layer(i, i == last ? grad_logits : g, tape);
+  }
+  const Layer& stop = *layers_[first];
+  obs::Span stop_span(stop.name(), "bwd");
+  obs::ScopedTimer timer(*timers_[first].backward_ns);
+  stop.backward_params(first == last ? grad_logits : g, tape.slot(first));
 }
 
 Tensor Sequential::forward(const Tensor& x, bool train) {

@@ -60,6 +60,11 @@ class Sequential {
   // Gradient of the loss w.r.t. the model input; parameter grads accumulate
   // iff tape.accumulate_param_grads().
   Tensor backward(const Tensor& grad_logits, ForwardTape& tape) const;
+  // The training backward: accumulates the same parameter gradients as
+  // backward(), bit for bit, but forms no ∇x. It stops at the first layer
+  // that has parameters, which runs Layer::backward_params (no
+  // input-gradient product); the layers before it get no backward at all.
+  void backward_params(const Tensor& grad_logits, ForwardTape& tape) const;
   // Layer i's forward alone, timed like a step of forward(): for callers
   // that read intermediate activations.
   Tensor forward_layer(std::size_t i, const Tensor& x, bool train,
@@ -102,6 +107,9 @@ class Sequential {
     obs::Histogram* backward_ns;
   };
   std::vector<LayerTimers> timers_;
+  // Layer i's backward inside its ".bwd" span and timer.
+  Tensor backward_layer(std::size_t i, const Tensor& g,
+                        ForwardTape& tape) const;
   // Backs the tape-less convenience overloads only.
   ForwardTape scratch_tape_;
 };

@@ -96,7 +96,7 @@ TrainStats train_classifier(Sequential& model, const Tensor& images,
       model.zero_grad();
       Tensor logits = model.forward(batch, /*train=*/true, tape);
       LossResult loss = softmax_cross_entropy(logits, batch_labels);
-      model.backward(loss.grad_logits, tape);
+      model.backward_params(loss.grad_logits, tape);
       optimizer.step();
 
       epoch_loss += loss.loss;

@@ -46,6 +46,7 @@ const KernelTable* scalar_table() {
     k.relu = &scalar::relu;
     k.sign = &scalar::sign;
     k.relu_bwd = &scalar::relu_bwd;
+    k.fake_quant = &scalar::fake_quant;
     k.pack_row = &scalar::pack_row8;
     k.int8_4x16 = &scalar::int8_4x16;
     k.quant_i8 = &scalar::quant_i8;

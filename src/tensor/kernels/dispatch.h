@@ -1,5 +1,5 @@
 // Runtime-dispatched SIMD micro-kernel table for the GEMM / sparse /
-// elementwise hot paths.
+// elementwise / fixed-point hot paths.
 //
 // The blocked GEMM layer (tensor/gemm.cpp) and the elementwise ops
 // (tensor/ops.cpp) call through one process-wide `KernelTable` of plain
@@ -23,6 +23,12 @@
 //    packers (`nt_pack_a`, `nt_pack_b`) only convert float to double,
 //    which is exact. The sparse row-axpy and the elementwise entries are
 //    vectorized with separate multiply and add — never contracted.
+//  - `fake_quant` (the fixed-point snap of QAT activations, weights and
+//    the int8 pass's requantising gates) multiplies by a power-of-two
+//    inverse step, rounds half-even with round instructions (never a
+//    float→int conversion, which is wrong once |x·2^f| ≥ 2³¹) and clamps
+//    with the bound as the first min/max operand, so NaN passes through
+//    as the scalar `if` chain lets it.
 //  - The int8 entries (`int8_4x16`, `quant_i8`, `requant_*`) are integer
 //    arithmetic end to end (DESIGN.md §5, "Integer precision contract").
 //    The only float steps are exact: power-of-two scaling and int→float
@@ -109,6 +115,20 @@ using Int8MicroKernelFn = void (*)(Index kpairs, const std::int16_t* ap,
 using QuantI8Fn = void (*)(std::int8_t* dst, const float* src, float inv_step,
                            float lo, float hi, Index n);
 
+// Fixed-point fake-quantisation with its straight-through gate:
+//   q = nearbyint(in[i] * inv_step) * step   (round-half-even)
+//   out[i] = q clamped to [lo, hi] by `if (q < lo) q = lo; if (q > hi)
+//            q = hi;` — a NaN q passes through unchanged
+//   gate[i] = (q < lo || q > hi) ? 0 : 1     (NaN counts as in range)
+// `step` must be a power of two and `inv_step` exactly 1/step: then
+// in[i] * inv_step and in[i] / step round the same real number to the same
+// float, so this is bit-identical to `nearbyint(x / step) * step` with the
+// same saturation, on every input (±0, ±inf, NaN payloads, |x·2^f| ≥ 2³¹).
+// `out` may alias `in`; `gate` may not alias either.
+using FakeQuantFn = void (*)(float* out, float* gate, const float* in,
+                             float inv_step, float step, float lo, float hi,
+                             Index n);
+
 // Requantise an int32 accumulator matrix [rows, cols] to float values on
 // the activation grid: y = sat(rshift_rne(acc + bias, shift), lo, hi) *
 // scale, where rshift_rne is the round-half-even arithmetic right shift of
@@ -150,6 +170,7 @@ struct KernelTable {
   UnaryFn relu = nullptr;
   UnaryFn sign = nullptr;
   ReluBwdFn relu_bwd = nullptr;
+  FakeQuantFn fake_quant = nullptr;
   PackRowFn pack_row = nullptr;
   // Deployed-integer inference entries (bit-identical on every ISA).
   Int8MicroKernelFn int8_4x16 = nullptr;

@@ -17,6 +17,8 @@
 //    two floats is exact in double (24+24 < 53 mantissa bits), so fused
 //    and unfused rounding agree.
 //  - axpy / elementwise: multiply and add kept separate.
+//  - fake_quant: exact power-of-two scaling, vroundps half-even and
+//    NaN-preserving min/max — the scalar nearbyint loop per lane.
 //  - int8: integer arithmetic, exact in any order.
 #include "tensor/kernels/dispatch.h"
 
@@ -293,6 +295,36 @@ void relu_bwd_avx2(float* g, const float* in, Index n) {
   scalar::relu_bwd(g + i, in + i, n - i);
 }
 
+// Fixed-point fake-quantisation (dispatch.h FakeQuantFn). x·inv_step is
+// exact (power of two), vroundps with _MM_FROUND_TO_NEAREST_INT rounds half
+// to even like std::nearbyint in the default FP environment and, unlike
+// vcvtps2dq, stays right for |x·2^f| ≥ 2³¹, ±inf and NaN. vmaxps/vminps
+// return their second operand when either is NaN and on equality, so
+// max(lo, q) and min(hi, ·) are `if (q < lo) q = lo; if (q > hi) q = hi;`
+// exactly: a NaN q passes through, and q == ±bound keeps q's sign of zero.
+// Ordered LT/GT compares make the gate 1 for NaN, like the scalar test.
+void fake_quant_avx2(float* out, float* gate, const float* in, float inv_step,
+                     float step, float lo, float hi, Index n) {
+  const __m256 inv = _mm256_set1_ps(inv_step);
+  const __m256 stv = _mm256_set1_ps(step);
+  const __m256 lov = _mm256_set1_ps(lo);
+  const __m256 hiv = _mm256_set1_ps(hi);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  Index i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 q = _mm256_mul_ps(
+        _mm256_round_ps(_mm256_mul_ps(_mm256_loadu_ps(in + i), inv),
+                        _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC),
+        stv);
+    const __m256 saturated = _mm256_or_ps(_mm256_cmp_ps(q, lov, _CMP_LT_OQ),
+                                          _mm256_cmp_ps(q, hiv, _CMP_GT_OQ));
+    _mm256_storeu_ps(out + i, _mm256_min_ps(hiv, _mm256_max_ps(lov, q)));
+    _mm256_storeu_ps(gate + i, _mm256_andnot_ps(saturated, one));
+  }
+  scalar::fake_quant(out + i, gate + i, in + i, inv_step, step, lo, hi,
+                     n - i);
+}
+
 // ---- int8 integer path: exact integer arithmetic, bit-identical to the
 // scalar oracle on every input (dispatch.h). ---------------------------------
 
@@ -518,6 +550,7 @@ const KernelTable* avx2_table() {
     k.relu = &relu_avx2;
     k.sign = &sign_avx2;
     k.relu_bwd = &relu_bwd_avx2;
+    k.fake_quant = &fake_quant_avx2;
     k.pack_row = &pack_row8_avx2;
     k.int8_4x16 = &int8_4x16_avx2;
     k.quant_i8 = &quant_i8_avx2;

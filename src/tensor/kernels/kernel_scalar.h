@@ -253,6 +253,23 @@ inline void relu_bwd(float* g, const float* in,
   }
 }
 
+// Fixed-point fake-quantisation (dispatch.h FakeQuantFn). `x * inv_step`
+// rounds the same real number as `x / step` (step is a power of two). The
+// `if` chain, not std::clamp, is the contract: a NaN q passes through with
+// gate 1.
+inline void fake_quant(float* out, float* gate, const float* in,
+                       float inv_step, float step, float lo, float hi,
+                       Index n) {
+  for (Index i = 0; i < n; ++i) {
+    float q = std::nearbyint(in[i] * inv_step) * step;
+    const bool saturated = q < lo || q > hi;
+    if (q < lo) q = lo;
+    if (q > hi) q = hi;
+    out[i] = q;
+    gate[i] = saturated ? 0.0f : 1.0f;
+  }
+}
+
 // The panel-packing inner row scatter (gemm.cpp pack_panel, k-major path):
 // the exact copy-and-flag loops the packer always ran.
 inline void pack_row8(float* panel, const float* src, Index jn, Index depth,

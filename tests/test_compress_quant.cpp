@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "compress/fixed_point.h"
 #include "compress/quant_activation.h"
 #include "models/model_zoo.h"
 #include "nn/linear.h"
+#include "nn/loss.h"
 #include "nn/trainer.h"
+#include "obs/metrics.h"
+#include "tensor/kernels/dispatch.h"
 #include "tensor/ops.h"
 #include "test_helpers.h"
 
@@ -79,6 +86,73 @@ TEST_P(QuantErrorBound, ErrorWithinHalfStep) {
 
 INSTANTIATE_TEST_SUITE_P(PaperBitwidths, QuantErrorBound,
                          ::testing::Values(4, 8, 12, 16, 24, 32));
+
+// The fake-quant loop as QuantActivation and FixedPointWeightTransform
+// wrote it before the kernel table had a fake_quant entry: division by the
+// step, libm nearbyint, then the saturating `if` chain.
+void division_fake_quant(const FixedPointFormat& fmt, const float* in,
+                         float* out, float* gate, Index n) {
+  const float lo = fmt.lo();
+  const float hi = fmt.hi();
+  const float s = fmt.step();
+  for (Index i = 0; i < n; ++i) {
+    float q = std::nearbyint(in[i] / s) * s;
+    const bool saturated = q < lo || q > hi;
+    if (q < lo) q = lo;
+    if (q > hi) q = hi;
+    out[i] = q;
+    gate[i] = saturated ? 0.0f : 1.0f;
+  }
+}
+
+TEST(FixedPoint, FakeQuantMatchesDivisionDefinition) {
+  // A strided sweep over all 2³² float bit patterns (every exponent, both
+  // signs, NaN payloads, subnormals) through every table this host runs.
+  constexpr std::uint64_t kStride = 1021;
+  constexpr Index kChunk = 4096;
+  std::vector<tensor::kernels::Isa> isas = {tensor::kernels::Isa::kScalar};
+  if (tensor::kernels::isa_supported(tensor::kernels::Isa::kAvx2)) {
+    isas.push_back(tensor::kernels::Isa::kAvx2);
+  }
+  std::vector<float> in(kChunk), want_out(kChunk), want_gate(kChunk);
+  std::vector<float> got_out(kChunk), got_gate(kChunk);
+  for (int bits : {4, 8, 16, 32}) {
+    const FixedPointFormat fmt = FixedPointFormat::paper_format(bits);
+    std::uint64_t pattern = 0;
+    while (pattern < (std::uint64_t{1} << 32)) {
+      Index n = 0;
+      for (; n < kChunk && pattern < (std::uint64_t{1} << 32);
+           ++n, pattern += kStride) {
+        const auto b = static_cast<std::uint32_t>(pattern);
+        std::memcpy(&in[static_cast<std::size_t>(n)], &b, 4);
+      }
+      division_fake_quant(fmt, in.data(), want_out.data(), want_gate.data(),
+                          n);
+      for (tensor::kernels::Isa isa : isas) {
+        tensor::kernels::ScopedIsa scoped(isa);
+        fake_quantize(fmt, in.data(), got_out.data(), got_gate.data(), n);
+        const auto nbytes = static_cast<std::size_t>(n) * sizeof(float);
+        if (std::memcmp(want_out.data(), got_out.data(), nbytes) == 0 &&
+            std::memcmp(want_gate.data(), got_gate.data(), nbytes) == 0) {
+          continue;
+        }
+        for (Index i = 0; i < n; ++i) {
+          const auto k = static_cast<std::size_t>(i);
+          std::uint32_t x, w, g;
+          std::memcpy(&x, &in[k], 4);
+          std::memcpy(&w, &want_out[k], 4);
+          std::memcpy(&g, &got_out[k], 4);
+          ASSERT_EQ(w, g) << tensor::kernels::isa_name(isa) << " "
+                          << fmt.to_string() << " input bits 0x" << std::hex
+                          << x;
+          ASSERT_EQ(want_gate[k], got_gate[k])
+              << tensor::kernels::isa_name(isa) << " " << fmt.to_string()
+              << " gate, input bits 0x" << std::hex << x;
+        }
+      }
+    }
+  }
+}
 
 TEST(WeightTransform, GateBlocksSaturatedValues) {
   FixedPointWeightTransform t(FixedPointFormat{.total_bits = 4,
@@ -199,6 +273,71 @@ TEST(QuantAwareTraining, StepImprovesQuantisedLoss) {
   nn::train_classifier(q, x, labels, tc);
   const double after = nn::evaluate_loss(q, x, labels);
   EXPECT_LT(after, before);
+}
+
+// The parameter gradients of one training backward (backward_params, no
+// ∇x) against those of the full backward off the same forward: equal bit
+// for bit, after a training step has moved the weights. On the quantised
+// model the first parameterised layer is conv1, so `skipped` (quant_in)
+// gets no backward at all.
+void expect_backward_params_matches_full(nn::Sequential& model,
+                                         const Shape& image_shape,
+                                         const char* skipped = nullptr) {
+  std::vector<Index> dims = image_shape.dims();
+  dims.insert(dims.begin(), 8);
+  const Tensor x = random_batch(Shape{dims}, 71);
+  std::vector<int> labels;
+  for (int i = 0; i < 8; ++i) labels.push_back(i % 10);
+  nn::TrainConfig tc;
+  tc.epochs = 1;
+  tc.batch_size = 8;
+  tc.use_paper_lr_schedule = false;
+  nn::train_classifier(model, x, labels, tc);
+
+  nn::ForwardTape tape(/*accumulate_param_grads=*/true);
+  const Tensor logits = model.forward(random_batch(Shape{dims}, 72),
+                                      /*train=*/true, tape);
+  const nn::LossResult loss = nn::softmax_cross_entropy(logits, labels);
+  model.zero_grad();
+  model.backward(loss.grad_logits, tape);
+  std::vector<Tensor> full;
+  for (const nn::Parameter* p : model.parameters()) full.push_back(p->grad);
+
+  model.zero_grad();
+  obs::Histogram* skipped_ns =
+      skipped == nullptr
+          ? nullptr
+          : &obs::histogram(std::string(skipped) + ".backward_ns");
+  const std::uint64_t skipped_before =
+      skipped_ns == nullptr ? 0 : skipped_ns->count();
+  model.backward_params(loss.grad_logits, tape);
+  if (skipped_ns != nullptr) {
+    EXPECT_EQ(skipped_ns->count(), skipped_before) << skipped;
+  }
+  const std::vector<nn::Parameter*> params = model.parameters();
+  ASSERT_EQ(params.size(), full.size());
+  for (std::size_t k = 0; k < params.size(); ++k) {
+    const Tensor& got = params[k]->grad;
+    ASSERT_EQ(got.shape(), full[k].shape()) << params[k]->name;
+    EXPECT_EQ(std::memcmp(got.data(), full[k].data(),
+                          static_cast<std::size_t>(got.numel()) * 4),
+              0)
+        << params[k]->name;
+  }
+  // conv1's weight gradient is really there, not two zero tensors.
+  float norm = 0.0f;
+  for (float v : params[0]->grad.flat()) norm += std::fabs(v);
+  EXPECT_GT(norm, 0.0f) << params[0]->name;
+}
+
+TEST(TrainingBackward, ParamGradsBitwiseEqualFullBackward) {
+  nn::Sequential lenet = models::make_lenet5_small(73);
+  expect_backward_params_matches_full(lenet, Shape{1, 28, 28});
+  nn::Sequential cifar = quantize_model(
+      models::make_cifarnet_small(74),
+      QuantizeOptions{.format = FixedPointFormat::paper_format(8)});
+  ASSERT_EQ(cifar.layer(0).name(), "quant_in");
+  expect_backward_params_matches_full(cifar, Shape{3, 32, 32}, "quant_in");
 }
 
 }  // namespace

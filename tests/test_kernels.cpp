@@ -4,8 +4,8 @@
 // The scalar table is the reference; this file checks every other table
 // against it under the precision contract of DESIGN.md §5: every entry —
 // float GEMM tiles (NN/TN, dense and zero-skip), the NT double tile and
-// its operand packers, the sparse row-axpy, elementwise, panel pack_row
-// and all of int8 — is
+// its operand packers, the sparse row-axpy, elementwise, fixed-point
+// fake_quant, panel pack_row and all of int8 — is
 // bit-identical to scalar at every tile-remainder shape, on random, pruned
 // and adversarially-scaled inputs. The dispatch surface is checked too:
 // first use activates the best supported ISA, unsupported requests fall
@@ -149,6 +149,7 @@ TEST(KernelDispatch, EveryActivatedTableIsFullyPopulated) {
     EXPECT_NE(kt.relu, nullptr);
     EXPECT_NE(kt.sign, nullptr);
     EXPECT_NE(kt.relu_bwd, nullptr);
+    EXPECT_NE(kt.fake_quant, nullptr);
     EXPECT_NE(kt.pack_row, nullptr);
     EXPECT_NE(kt.int8_4x16, nullptr);
     EXPECT_NE(kt.quant_i8, nullptr);
@@ -468,6 +469,105 @@ TEST(KernelOracle, ElementwiseBitIdentical) {
         expect_bits_equal(want, got, "relu_backward");
       }
       if (HasFatalFailure()) return;
+    }
+  }
+}
+
+float float_from_bits(std::uint32_t bits) {
+  float v;
+  std::memcpy(&v, &bits, 4);
+  return v;
+}
+
+// The fake_quant edge cases for one fixed-point grid (step 2⁻ᶠ, bounds
+// [lo, hi]): half-step ties of both parities, ±0, the bounds and one step
+// beyond, ±inf, NaNs with payloads, subnormals, |x·2^f| past 2²³ (already
+// integral) and past 2³¹ (out of int32 range), then random values.
+std::vector<float> fake_quant_cases(int f, float lo, float hi,
+                                    std::uint64_t seed) {
+  const float step = std::ldexp(1.0f, -f);
+  std::vector<float> v;
+  for (int k = -9; k <= 9; ++k) {
+    v.push_back((static_cast<float>(k) + 0.5f) * step);  // even and odd ties
+  }
+  for (float b : {lo, hi}) {
+    v.insert(v.end(), {b, b - step, b + step, b - step / 2, b + step / 2});
+  }
+  v.insert(v.end(), {0.0f, -0.0f, INFINITY, -INFINITY});
+  for (std::uint32_t bits : {0x7fc12345u, 0xffc00001u, 0x7f800001u,
+                             0x7fa00000u, 0x00000001u, 0x80000001u,
+                             0x007fffffu, 0x807fffffu, 0x7f7fffffu,
+                             0xff7fffffu}) {
+    v.push_back(float_from_bits(bits));  // NaNs, subnormals, ±FLT_MAX
+  }
+  for (int e : {23, 24, 30, 31, 32, 40}) {
+    for (float m : {1.0f, 1.5f, -1.0f, -1.25f}) {
+      v.push_back(m * std::ldexp(1.0f, e - f));
+    }
+  }
+  con::util::Rng rng(seed);
+  while (v.size() < 203) {
+    v.push_back(rng.uniform_f(2.0f * lo, 2.0f * hi));
+  }
+  return v;
+}
+
+TEST(KernelOracle, FakeQuantBitIdentical) {
+  // The paper's fixed-point formats: (total bits, integer bits).
+  const std::pair<int, int> formats[] = {{4, 1}, {8, 2}, {16, 4}, {32, 4}};
+  const float kSentinel = -7.0f;
+  for (kernels::Isa isa : supported_simd_isas()) {
+    for (auto [bits, ibits] : formats) {
+      const int f = bits - ibits;
+      const float inv_step = std::ldexp(1.0f, f);
+      const float step = std::ldexp(1.0f, -f);
+      const float lo = -std::ldexp(1.0f, ibits - 1);
+      const float hi = std::ldexp(1.0f, ibits - 1) - step;
+      const std::vector<float> in =
+          fake_quant_cases(f, lo, hi, static_cast<std::uint64_t>(bits));
+      const auto total = static_cast<Index>(in.size());
+      // Every length 0…24 (tails with n mod 8 = 1…7 after 0–2 full
+      // vectors) at offsets 0 and 3, then the whole input.
+      std::vector<std::pair<Index, Index>> spans;
+      for (Index n = 0; n <= 24; ++n) {
+        spans.push_back({0, n});
+        spans.push_back({3, n});
+      }
+      spans.push_back({0, total});
+      for (auto [off, n] : spans) {
+        Tensor want_out({n + 1}, kSentinel), want_gate({n + 1}, kSentinel);
+        Tensor got_out({n + 1}, kSentinel), got_gate({n + 1}, kSentinel);
+        kernels::scalar::fake_quant(want_out.data(), want_gate.data(),
+                                    in.data() + off, inv_step, step, lo, hi,
+                                    n);
+        {
+          kernels::ScopedIsa scoped(isa);
+          kernels::active().fake_quant(got_out.data(), got_gate.data(),
+                                       in.data() + off, inv_step, step, lo,
+                                       hi, n);
+        }
+        SCOPED_TRACE(std::string(kernels::isa_name(isa)) + " Q" +
+                     std::to_string(ibits) + "." + std::to_string(f) +
+                     " off=" + std::to_string(off) +
+                     " n=" + std::to_string(n));
+        expect_bits_equal(want_out, got_out, "fake_quant out");
+        expect_bits_equal(want_gate, got_gate, "fake_quant gate");
+        if (HasFatalFailure()) return;
+      }
+      // In place (out aliases in) gives the same bits.
+      std::vector<float> inplace = in;
+      {
+        kernels::ScopedIsa scoped(isa);
+        Tensor gate({total});
+        kernels::active().fake_quant(inplace.data(), gate.data(),
+                                     inplace.data(), inv_step, step, lo, hi,
+                                     total);
+      }
+      Tensor want_out({total}), want_gate({total});
+      kernels::scalar::fake_quant(want_out.data(), want_gate.data(),
+                                  in.data(), inv_step, step, lo, hi, total);
+      expect_bits_equal(want_out, Tensor({total}, inplace),
+                        "fake_quant in place");
     }
   }
 }

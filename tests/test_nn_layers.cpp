@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
 #include "models/model_zoo.h"
@@ -91,6 +92,23 @@ TEST(MaxPool2d, BackwardRoutesToArgmax) {
   EXPECT_FLOAT_EQ(gx[0], 0.0f);
   EXPECT_FLOAT_EQ(gx[1], 2.0f);
   EXPECT_FLOAT_EQ(gx[2], 0.0f);
+}
+
+TEST(MaxPool2d, NoFiniteMaxKeepsGradientInsideItsWindow) {
+  // Image 1's only window holds nothing greater than -inf. Its gradient
+  // must land in its own window (the first element), never in image 0.
+  MaxPool2d pool(2, 2);
+  const float ninf = -std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor x({2, 1, 2, 2}, std::vector<float>{1, 2, 3, 4, ninf, nan, ninf, nan});
+  TapeSlot slot;
+  Tensor y = pool.forward(x, false, slot);
+  EXPECT_FLOAT_EQ(y[0], 4.0f);
+  EXPECT_EQ(y[1], ninf);
+  Tensor g({2, 1, 1, 1}, std::vector<float>{2.0f, 5.0f});
+  Tensor gx = pool.backward(g, slot);
+  const std::vector<float> want = {0, 0, 0, 2, 5, 0, 0, 0};
+  for (Index i = 0; i < gx.numel(); ++i) EXPECT_EQ(gx[i], want[i]) << i;
 }
 
 TEST(ReLUTest, ForwardZeroesNegatives) {
