@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "tensor/kernels/dispatch.h"
+#include "tensor/ops.h"
 
 namespace con::compress {
 
@@ -45,8 +46,12 @@ std::string FixedPointFormat::to_string() const {
 
 void fake_quantize(const FixedPointFormat& fmt, const float* in, float* out,
                    float* gate, Index n) {
-  tensor::kernels::active().fake_quant(out, gate, in, fmt.inv_step(),
-                                       fmt.step(), fmt.lo(), fmt.hi(), n);
+  const tensor::kernels::KernelTable& kt = tensor::kernels::active();
+  const float inv_step = fmt.inv_step(), step = fmt.step();
+  const float lo = fmt.lo(), hi = fmt.hi();
+  tensor::parallel_for_chunks(n, [&](Index b, Index e) {
+    kt.fake_quant(out + b, gate + b, in + b, inv_step, step, lo, hi, e - b);
+  });
 }
 
 float fixed_point_quantize(float v, const FixedPointFormat& fmt) {

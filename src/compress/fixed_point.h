@@ -44,7 +44,7 @@ struct FixedPointFormat {
 // Quantise n values: round half to even onto the grid, then saturate.
 // gate[i] is the saturating straight-through estimator's gradient gate:
 // 1 where the rounded value was representable, 0 where it saturated. `out`
-// may alias `in`.
+// may alias `in`. Runs over tensor::parallel_for_chunks.
 void fake_quantize(const FixedPointFormat& fmt, const float* in, float* out,
                    float* gate, tensor::Index n);
 

@@ -15,11 +15,8 @@ Tensor QuantActivation::forward(const Tensor& x, bool /*train*/,
                                 nn::TapeSlot& slot) const {
   Tensor y(x.shape());
   // The gate overwrites every element, so a slot reused at the same shape
-  // keeps its storage as is. (A default slot's empty aux has rank 0 but no
-  // element, hence the numel test.)
-  if (slot.aux.shape() != x.shape() || slot.aux.numel() != x.numel()) {
-    slot.aux.resize(x.shape());
-  }
+  // keeps its storage as is.
+  slot.aux.ensure_shape(x.shape());
   fake_quantize(fmt_, x.data(), y.data(), slot.aux.data(), x.numel());
   return y;
 }

@@ -65,31 +65,42 @@ Tensor Conv2d::forward(const Tensor& x, bool train, TapeSlot& slot) const {
       .padding = spec_.padding,
   };
   const Index oh = slot.geom.out_h(), ow = slot.geom.out_w();
+  check_output_size(oh, ow, x);
   slot.packed = cache_.get(weight_, &pack_conv);
   if (train) weight_.grad_gate = slot.packed->gate;
   slot.batch = n;
 
   // One im2col + one GEMM for the whole batch:
-  // out[outC, N*P] = W[outC, C*k*k] * cols[C*k*k, N*P].
-  slot.columns = tensor::im2col_batch(x, slot.geom);
+  // out[outC, N*P] = W[outC, C*k*k] * cols[C*k*k, N*P]. The columns are
+  // lowered into the slot's own storage, reused while the shape holds.
+  tensor::im2col_batch_into(x, slot.geom, slot.columns);
   Tensor out = tensor::gemm::matmul_nn(slot.packed->fwd, slot.columns);
 
-  // Scatter [outC, N*P] into NCHW order and add the bias.
+  // Scatter [outC, N*P] into NCHW order and add the bias, per sample.
   Tensor y({n, spec_.out_channels, oh, ow});
   const Index plane = oh * ow;
   const Index total = n * plane;
   const float* od = out.data();
   const float* bd = bias_.value.data();
   float* yd = y.data();
-  for (Index i = 0; i < n; ++i) {
+  tensor::parallel_for_samples(n, [&](Index i) {
     for (Index c = 0; c < spec_.out_channels; ++c) {
       const float* src = od + c * total + i * plane;
       float* dst = yd + (i * spec_.out_channels + c) * plane;
       const float b = bd[c];
       for (Index p = 0; p < plane; ++p) dst[p] = src[p] + b;
     }
-  }
+  });
   return y;
+}
+
+void Conv2d::check_output_size(Index oh, Index ow, const Tensor& x) const {
+  if (oh <= 0 || ow <= 0) {
+    throw std::invalid_argument(
+        name() + ": input " + x.shape().to_string() + " is smaller than the " +
+        std::to_string(spec_.kernel) + "x" + std::to_string(spec_.kernel) +
+        " kernel (padding " + std::to_string(spec_.padding) + ")");
+  }
 }
 
 Tensor Conv2d::forward_int8(const Tensor& x, const Int8FormatKey& key) const {
@@ -110,6 +121,7 @@ Tensor Conv2d::forward_int8(const Tensor& x, const Int8FormatKey& key) const {
       .padding = spec_.padding,
   };
   const Index oh = geom.out_h(), ow = geom.out_w();
+  check_output_size(oh, ow, x);
   const Index plane = oh * ow;
   const Index total = n * plane;
   const Index patch = spec_.in_channels * spec_.kernel * spec_.kernel;
@@ -164,13 +176,13 @@ Tensor Conv2d::output_grad_columns(const Tensor& grad_out,
   Tensor go({spec_.out_channels, total});
   const float* gd = grad_out.data();
   float* god = go.data();
-  for (Index i = 0; i < n; ++i) {
+  tensor::parallel_for_samples(n, [&](Index i) {
     for (Index c = 0; c < spec_.out_channels; ++c) {
       std::memcpy(god + c * total + i * plane,
                   gd + (i * spec_.out_channels + c) * plane,
                   static_cast<std::size_t>(plane) * sizeof(float));
     }
-  }
+  });
   return go;
 }
 
@@ -194,9 +206,10 @@ void Conv2d::accumulate_param_grads(const Tensor& go,
 Tensor Conv2d::backward(const Tensor& grad_out, TapeSlot& slot) const {
   const Tensor go = output_grad_columns(grad_out, slot);
   accumulate_param_grads(go, slot);
-  // dcols[CKK, N*P] = W^T * go
-  Tensor dcols = tensor::gemm::matmul_tn(slot.packed->bwd, go);
-  return tensor::col2im_batch(dcols, slot.batch, slot.geom);
+  // dcols[CKK, N*P] = W^T * go, into the slot's scratch (slot.aux), which
+  // keeps its storage while the shape holds.
+  tensor::gemm::matmul_tn_into(slot.packed->bwd, go, slot.aux);
+  return tensor::col2im_batch(slot.aux, slot.batch, slot.geom);
 }
 
 void Conv2d::backward_params(const Tensor& grad_out, TapeSlot& slot) const {

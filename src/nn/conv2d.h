@@ -41,6 +41,9 @@ class Conv2d : public Layer {
  private:
   Conv2d(const Conv2d&) = default;
 
+  // Rejects an input smaller than the kernel (no output position).
+  void check_output_size(tensor::Index oh, tensor::Index ow,
+                         const Tensor& x) const;
   // grad_out [N, outC, OH, OW] gathered into the [outC, N·P] layout of the
   // forward GEMM output.
   Tensor output_grad_columns(const Tensor& grad_out,

@@ -10,9 +10,12 @@
 // Thread-safety contract: eval-mode forward and backward (with
 // accumulate_param_grads=false) are safe to run concurrently on one shared
 // layer, each thread with its own slot. Train-mode forward mutates layer
-// state (Dropout's RNG, Parameter::grad_gate) and
-// is single-threaded by contract, as is any backward that accumulates
-// parameter gradients.
+// state (Dropout's RNG, Parameter::grad_gate) and has one caller by
+// contract, as does any backward that accumulates parameter gradients.
+// One caller does not mean one thread: inside a call, the conv/pool stack
+// fans its per-sample and elementwise stages and its GEMMs out over the
+// pool, each output element with one owner (DESIGN.md §5), so the bits are
+// those of a serial pass.
 //
 // A layer's name is fixed at construction; Sequential keys the layer's
 // span and latency histograms on it.

@@ -2,6 +2,9 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
+
+#include "tensor/ops.h"
 
 namespace con::nn {
 
@@ -21,19 +24,26 @@ Tensor MaxPool2d::forward(const Tensor& x, bool /*train*/,
                                 x.shape().to_string());
   }
   const Index n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  // Checked before dividing: (h - window) / stride + 1 truncates toward
+  // zero, so an input smaller than the window would get one output row.
+  if (h < window_ || w < window_) {
+    throw std::invalid_argument(name() + ": input " + x.shape().to_string() +
+                                " is smaller than the " +
+                                std::to_string(window_) + "x" +
+                                std::to_string(window_) + " window");
+  }
   const Index oh = (h - window_) / stride_ + 1;
   const Index ow = (w - window_) / stride_ + 1;
-  if (oh <= 0 || ow <= 0) {
-    throw std::invalid_argument(name() + ": input too small for window");
-  }
   slot.in_shape = x.shape();
   Tensor y({n, c, oh, ow});
-  // Flat input index of the max element for every output element.
-  slot.indices.assign(static_cast<std::size_t>(y.numel()), 0);
+  // Flat input index of the max element for every output element; the
+  // loop below writes every entry.
+  slot.indices.resize(static_cast<std::size_t>(y.numel()));
   const float* in = x.data();
   float* out = y.data();
-  Index o = 0;
-  for (Index i = 0; i < n; ++i) {
+  Index* idx = slot.indices.data();
+  tensor::parallel_for_samples(n, [&](Index i) {
+    Index o = i * c * oh * ow;
     for (Index ch = 0; ch < c; ++ch) {
       const float* plane = in + (i * c + ch) * h * w;
       const Index plane_base = (i * c + ch) * h * w;
@@ -55,11 +65,11 @@ Tensor MaxPool2d::forward(const Tensor& x, bool /*train*/,
             }
           }
           out[o] = best;
-          slot.indices[static_cast<std::size_t>(o)] = best_idx;
+          idx[o] = best_idx;
         }
       }
     }
-  }
+  });
   return y;
 }
 
@@ -70,9 +80,18 @@ Tensor MaxPool2d::backward(const Tensor& grad_out, TapeSlot& slot) const {
   Tensor gx(slot.in_shape);
   float* g = gx.data();
   const float* go = grad_out.data();
-  for (std::size_t i = 0; i < slot.indices.size(); ++i) {
-    g[slot.indices[i]] += go[i];
-  }
+  const Index* idx = slot.indices.data();
+  // Every argmax lies inside its own sample's planes (forward keeps even
+  // an all -inf/NaN window's index in the window), so each sample's
+  // scatter touches only memory that sample owns.
+  const Index n = slot.in_shape.dim(0);
+  if (n == 0) return gx;
+  const Index per_sample = grad_out.numel() / n;
+  tensor::parallel_for_samples(n, [&](Index i) {
+    for (Index o = i * per_sample; o < (i + 1) * per_sample; ++o) {
+      g[idx[o]] += go[o];
+    }
+  });
   return gx;
 }
 

@@ -26,7 +26,8 @@ struct PackedWeights;
 // layer zoo; each layer uses the subset documented next to it and ignores
 // the rest:
 //   Linear         input, packed (weight panels used by the forward)
-//   Conv2d         columns (batched im2col), packed, geom, batch
+//   Conv2d         columns (batched im2col), packed, geom, batch,
+//                  aux (backward's column-gradient scratch)
 //   ReLU           input
 //   MaxPool2d      indices (argmax), in_shape
 //   Flatten        in_shape

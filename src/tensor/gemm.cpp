@@ -142,8 +142,9 @@ constexpr Index kSparseAxpyDensityPct = 25;
 
 // Row-axpy kernel for heavily pruned packed A against raw k-major B.
 // Identical per-element operation sequence to reference_nn: each C row
-// accumulates av·B[k,·] in ascending k, skipping zero av, as full-row
-// streaming sweeps (the prefetch-friendly pattern of the scalar loops).
+// starts at zero and accumulates av·B[k,·] in ascending k, skipping zero
+// av, as full-row streaming sweeps (the prefetch-friendly pattern of the
+// scalar loops).
 // Parallel over C rows — every element has exactly one owner, so the
 // output does not depend on the thread count.
 // conlint:hotpath begin
@@ -160,6 +161,7 @@ void sparse_axpy(const kernels::KernelTable& kt, const PackedMatrix& a,
         static_cast<Index>(a.nnz_ptr[static_cast<std::size_t>(s) + 1] -
                            a.nnz_ptr[static_cast<std::size_t>(s)]);
     float* crow = c + row * n;
+    std::fill(crow, crow + n, 0.0f);
     for (Index u = 0; u < nk; ++u) {
       const Index k = kl[u];
       const float av = strip[k * a.strip + t];
@@ -173,10 +175,10 @@ void sparse_axpy(const kernels::KernelTable& kt, const PackedMatrix& a,
 // conlint:hotpath end
 
 // Drives a full C[M,N] = A·B product from a kStripA-packed left operand
-// and a BSource through the table's float tile. Parallel over kNC-column
-// panels: each task owns a disjoint column range of C and computes every
-// one of its elements exactly once, so the output is independent of the
-// thread count.
+// and a BSource through the table's float tile, writing every element of
+// C whatever it held before. Parallel over kNC-column panels: each task
+// owns a disjoint column range of C and computes every one of its elements
+// exactly once, so the output is independent of the thread count.
 void gemm_blocked(const kernels::KernelTable& kt, const PackedMatrix& a,
                   const BSource& bsrc, Index n, float* c) {
   constexpr Index MR = kStripA;
@@ -350,15 +352,21 @@ Tensor matmul_nn(const Tensor& a, const Tensor& b) {
 // ---- TN: C[M,N] = A[K,M]ᵀ · B[K,N] -----------------------------------------
 
 Tensor matmul_tn(const PackedMatrix& a, const Tensor& b) {
+  Tensor c;
+  matmul_tn_into(a, b, c);
+  return c;
+}
+
+void matmul_tn_into(const PackedMatrix& a, const Tensor& b, Tensor& c) {
   check_rank2(b, "matmul_tn");
   check_inner(b.dim(0), a.depth, "matmul_tn");
   obs::Span span("gemm.tn");
   count_gemm(a.rows, b.dim(1), a.depth);
   const kernels::KernelTable& kt = kernels::active();
-  Tensor c({a.rows, b.dim(1)});
+  // gemm_blocked writes every element of C.
+  c.ensure_shape(Shape{a.rows, b.dim(1)});
   BSource bs{.raw = b.data(), .ld = b.dim(1)};
   gemm_blocked(kt, a, bs, b.dim(1), c.data());
-  return c;
 }
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
@@ -393,13 +401,23 @@ struct NtSource {
   const float* raw = nullptr;
 };
 
+// The least NT tile work worth a parallel_for claim, in flops: below it,
+// waking a pool thread costs about as much as the work it would take over.
+constexpr Index kNtClaimFlops = Index{1} << 20;
+
 // C[M,N] = A·Bᵀ through the table's nt_4x8 tile, in kNtKc blocks of K.
-// Per block, A's rows become k-major double strips and B's rows doubles,
-// and each 4×8 tile advances its chains over the block; the chains live in
-// a per-task double buffer between blocks and are rounded to float once
-// at the end, so every element is reference_nt's ascending-k double sum.
-// Parallel over kNC-column panels, each owned by one task: the output is
-// independent of the thread count.
+// The split is one task per kStripB-column strip of C, and each strip's
+// elements have that task as their only owner. parallel_for_ranges hands
+// a claim a run of neighbouring strips, which it sweeps block by block:
+// per block, A's rows become k-major double strips once for the whole run
+// and each strip converts only its own B rows, so a single claim (every
+// 1-thread call) converts exactly what one panel did before. Each 4×8 tile
+// advances its chains over the block; the chains live in a per-claim
+// double buffer between blocks and are rounded to float once at the end,
+// so every element is reference_nt's ascending-k double sum, whatever run
+// of strips it arrived in: the output is independent of the thread count.
+// A claim carries at least kNtClaimFlops, so a small product (DeepFool's
+// one-row Linear calls) stays a single inline claim.
 void gemm_nt(const kernels::KernelTable& kt, const Tensor& a,
              const NtSource& b, Index n, float* c) {
   const Index m = a.dim(0);
@@ -408,67 +426,74 @@ void gemm_nt(const kernels::KernelTable& kt, const Tensor& a,
   blocked_counter(kt.isa).add(1);
   constexpr Index kTile = kStripA * kStripB;
   const Index na_strips = (m + kStripA - 1) / kStripA;
-  const Index npanels = (n + kNC - 1) / kNC;
+  const Index nstrips = (n + kStripB - 1) / kStripB;
+  const Index strip_flops = 2 * na_strips * kStripA * kStripB * depth;
+  const auto grain = static_cast<std::size_t>(
+      std::max<Index>(1, (kNtClaimFlops + strip_flops - 1) / strip_flops));
   static obs::Histogram& panel_hist = obs::histogram("gemm.panel_ns");
-  util::parallel_for(0, static_cast<std::size_t>(npanels), [&](std::size_t pi) {
-    obs::ScopedTimer panel_timer(panel_hist);
-    const Index j0 = static_cast<Index>(pi) * kNC;
-    const Index jn = std::min<Index>(kNC, n - j0);
-    const Index nb_strips = (jn + kStripB - 1) / kStripB;
-    // Per-worker scratch, reused across calls: the A block strips, one
-    // converted B strip, and the panel's double accumulator tiles
-    // (acc[(sb*na_strips + sa)*kTile + j*kStripA + i]).
-    thread_local std::vector<double> ablk;
-    thread_local std::vector<double> bblk;
-    thread_local std::vector<double> acc;
-    ablk.resize(static_cast<std::size_t>(na_strips * kNtKc * kStripA));
-    bblk.resize(static_cast<std::size_t>(kStripB * kNtKc));
-    acc.assign(static_cast<std::size_t>(nb_strips * na_strips * kTile), 0.0);
-    for (Index k0 = 0; k0 < depth; k0 += kNtKc) {
-      const Index kc = std::min<Index>(kNtKc, depth - k0);
-      for (Index sa = 0; sa < na_strips; ++sa) {
-        const Index i = sa * kStripA;
-        kt.nt_pack_a(a.data() + i * depth + k0, depth,
-                     std::min<Index>(kStripA, m - i), kc,
-                     ablk.data() + sa * kc * kStripA);
-      }
-      // B strip outermost (stays in L1 across the sweep of A strips).
-      for (Index sb = 0; sb < nb_strips; ++sb) {
-        const Index j = j0 + sb * kStripB;
-        const Index nv = std::min<Index>(kStripB, n - j);
-        const double* bp;
-        Index ldb;
-        if (b.packed != nullptr) {
-          bp = b.packed->data.data() + j * depth + k0;
-          ldb = depth;
-        } else {
-          kt.nt_pack_b(b.raw + j * depth + k0, depth, nv, kc, bblk.data());
-          bp = bblk.data();
-          ldb = kc;
-        }
-        double* tiles = acc.data() + sb * na_strips * kTile;
-        for (Index sa = 0; sa < na_strips; ++sa) {
-          kt.nt_4x8(kc, ablk.data() + sa * kc * kStripA, bp, ldb,
-                    tiles + sa * kTile, nv);
-        }
-      }
-    }
-    for (Index sb = 0; sb < nb_strips; ++sb) {
-      const Index j = j0 + sb * kStripB;
-      const Index nv = std::min<Index>(kStripB, n - j);
-      for (Index sa = 0; sa < na_strips; ++sa) {
-        const Index i = sa * kStripA;
-        const Index mv = std::min<Index>(kStripA, m - i);
-        const double* tile = acc.data() + (sb * na_strips + sa) * kTile;
-        for (Index r = 0; r < mv; ++r) {
-          for (Index t = 0; t < nv; ++t) {
-            c[(i + r) * n + j + t] =
-                static_cast<float>(tile[t * kStripA + r]);
+  util::parallel_for_ranges(
+      0, static_cast<std::size_t>(nstrips),
+      [&](std::size_t s0, std::size_t s1) {
+        obs::ScopedTimer panel_timer(panel_hist);
+        const Index j0 = static_cast<Index>(s0) * kStripB;
+        const Index nb_strips = static_cast<Index>(s1 - s0);
+        // Per-worker scratch, reused across claims: the A block strips, one
+        // converted B strip, and the run's double accumulator tiles
+        // (acc[(sb*na_strips + sa)*kTile + j*kStripA + i]).
+        thread_local std::vector<double> ablk;
+        thread_local std::vector<double> bblk;
+        thread_local std::vector<double> acc;
+        ablk.resize(static_cast<std::size_t>(na_strips * kNtKc * kStripA));
+        bblk.resize(static_cast<std::size_t>(kStripB * kNtKc));
+        acc.assign(static_cast<std::size_t>(nb_strips * na_strips * kTile),
+                   0.0);
+        for (Index k0 = 0; k0 < depth; k0 += kNtKc) {
+          const Index kc = std::min<Index>(kNtKc, depth - k0);
+          for (Index sa = 0; sa < na_strips; ++sa) {
+            const Index i = sa * kStripA;
+            kt.nt_pack_a(a.data() + i * depth + k0, depth,
+                         std::min<Index>(kStripA, m - i), kc,
+                         ablk.data() + sa * kc * kStripA);
+          }
+          // B strip outermost (stays in L1 across the sweep of A strips).
+          for (Index sb = 0; sb < nb_strips; ++sb) {
+            const Index j = j0 + sb * kStripB;
+            const Index nv = std::min<Index>(kStripB, n - j);
+            const double* bp;
+            Index ldb;
+            if (b.packed != nullptr) {
+              bp = b.packed->data.data() + j * depth + k0;
+              ldb = depth;
+            } else {
+              kt.nt_pack_b(b.raw + j * depth + k0, depth, nv, kc,
+                           bblk.data());
+              bp = bblk.data();
+              ldb = kc;
+            }
+            double* tiles = acc.data() + sb * na_strips * kTile;
+            for (Index sa = 0; sa < na_strips; ++sa) {
+              kt.nt_4x8(kc, ablk.data() + sa * kc * kStripA, bp, ldb,
+                        tiles + sa * kTile, nv);
+            }
           }
         }
-      }
-    }
-  });
+        for (Index sb = 0; sb < nb_strips; ++sb) {
+          const Index j = j0 + sb * kStripB;
+          const Index nv = std::min<Index>(kStripB, n - j);
+          for (Index sa = 0; sa < na_strips; ++sa) {
+            const Index i = sa * kStripA;
+            const Index mv = std::min<Index>(kStripA, m - i);
+            const double* tile = acc.data() + (sb * na_strips + sa) * kTile;
+            for (Index r = 0; r < mv; ++r) {
+              for (Index t = 0; t < nv; ++t) {
+                c[(i + r) * n + j + t] =
+                    static_cast<float>(tile[t * kStripA + r]);
+              }
+            }
+          }
+        }
+      },
+      grain);
 }
 
 }  // namespace

@@ -33,8 +33,11 @@
 //    persist across blocks and are rounded to float once. A float·float
 //    product is exact in double, so this is reference_nt's sum term for
 //    term, for any input — non-finite ones included.
-//  - Work is threaded over kNC-column panels of C via util::parallel_for.
-//    Panels write disjoint columns and every element is computed by exactly
+//  - Work is threaded via util::parallel_for: NN/TN over kNC-column panels
+//    of C, NT over kStripB-column strips of C (a claim takes a run of
+//    neighbouring strips and converts each A block once for the run; a
+//    product too small to pay for a pool wake-up is one inline claim).
+//    Tasks write disjoint columns and every element is computed by exactly
 //    one task, so results do not depend on the thread count.
 //
 // `PackedMatrix` and `PackedNt` are exposed so weight panels can be packed
@@ -55,7 +58,7 @@ namespace con::tensor::gemm {
 // alike.
 inline constexpr Index kStripA = 4;
 inline constexpr Index kStripB = 8;
-// Columns of C per cache panel and per parallel task. A multiple of
+// Columns of C per NN/TN cache panel and per parallel task. A multiple of
 // kStripB so strips never straddle panels.
 inline constexpr Index kNC = 256;
 // K per NT block: a 4-row A strip of it is 8 KiB of doubles and an 8-row B
@@ -113,6 +116,9 @@ struct PackedNt {
 // Float accumulators.
 [[nodiscard]] Tensor matmul_tn(const Tensor& a, const Tensor& b);
 [[nodiscard]] Tensor matmul_tn(const PackedMatrix& a, const Tensor& b);
+// The same into `c`, whose storage is reused as is when it already has the
+// output shape (Tensor::ensure_shape): every element is overwritten.
+void matmul_tn_into(const PackedMatrix& a, const Tensor& b, Tensor& c);
 
 // C[M,N] = A[M,K] · B[N,K]ᵀ. Packed B = pack_nt(b). Double accumulators
 // (dot-product-shaped reduction; DESIGN.md §5), no zero-skip.

@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "tensor/gemm.h"
 #include "tensor/kernels/dispatch.h"
+#include "util/threadpool.h"
 
 namespace con::tensor {
 
@@ -36,6 +37,23 @@ void check_rank2(const Tensor& a, const char* op) {
 }
 
 }  // namespace
+
+// ---- parallel stages -------------------------------------------------------
+
+void parallel_for_samples(Index n, const std::function<void(Index)>& fn) {
+  util::parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t i) {
+    fn(static_cast<Index>(i));
+  });
+}
+
+void parallel_for_chunks(Index n,
+                         const std::function<void(Index, Index)>& fn) {
+  const Index pieces = (n + kElementwiseChunk - 1) / kElementwiseChunk;
+  util::parallel_for(0, static_cast<std::size_t>(pieces), [&](std::size_t c) {
+    const Index lo = static_cast<Index>(c) * kElementwiseChunk;
+    fn(lo, std::min(n, lo + kElementwiseChunk));
+  });
+}
 
 // ---- elementwise ----------------------------------------------------------
 
@@ -124,7 +142,12 @@ void clamp_inplace(Tensor& a, float lo, float hi) {
 
 Tensor relu(const Tensor& a) {
   Tensor out(a.shape());
-  kernels::active().relu(out.data(), a.data(), a.numel());
+  const kernels::KernelTable& kt = kernels::active();
+  const float* src = a.data();
+  float* dst = out.data();
+  parallel_for_chunks(a.numel(), [&](Index lo, Index hi) {
+    kt.relu(dst + lo, src + lo, hi - lo);
+  });
   return out;
 }
 
@@ -136,7 +159,12 @@ void relu_inplace(Tensor& a) {
 
 void relu_backward_inplace(Tensor& grad, const Tensor& input) {
   check_same_shape(grad, input, "relu_backward");
-  kernels::active().relu_bwd(grad.data(), input.data(), grad.numel());
+  const kernels::KernelTable& kt = kernels::active();
+  float* g = grad.data();
+  const float* in = input.data();
+  parallel_for_chunks(grad.numel(), [&](Index lo, Index hi) {
+    kt.relu_bwd(g + lo, in + lo, hi - lo);
+  });
 }
 
 void bias_add_inplace(Tensor& m, const Tensor& bias) {
@@ -394,7 +422,8 @@ Tensor col2im(const Tensor& columns, const Conv2dGeometry& g) {
   return image;
 }
 
-Tensor im2col_batch(const Tensor& batch, const Conv2dGeometry& g) {
+void im2col_batch_into(const Tensor& batch, const Conv2dGeometry& g,
+                       Tensor& cols) {
   if (batch.rank() != 4 || batch.dim(1) != g.in_channels ||
       batch.dim(2) != g.in_h || batch.dim(3) != g.in_w) {
     throw std::invalid_argument("im2col_batch: batch shape " +
@@ -409,13 +438,20 @@ Tensor im2col_batch(const Tensor& batch, const Conv2dGeometry& g) {
   const Index plane = oh * ow;
   const Index rows = g.in_channels * g.kernel_h * g.kernel_w;
   const Index cols_per_row = n * plane;
-  Tensor cols({rows, cols_per_row});
+  // im2col_image writes every element, padding zeros included.
+  cols.ensure_shape(Shape{rows, cols_per_row});
   count_im2col_bytes(cols.numel());
   const Index image_stride = g.in_channels * g.in_h * g.in_w;
-  for (Index i = 0; i < n; ++i) {
-    im2col_image(batch.data() + i * image_stride, cols.data() + i * plane,
-                 cols_per_row, g);
-  }
+  const float* src = batch.data();
+  float* dst = cols.data();
+  parallel_for_samples(n, [&](Index i) {
+    im2col_image(src + i * image_stride, dst + i * plane, cols_per_row, g);
+  });
+}
+
+Tensor im2col_batch(const Tensor& batch, const Conv2dGeometry& g) {
+  Tensor cols;
+  im2col_batch_into(batch, g, cols);
   return cols;
 }
 
@@ -433,10 +469,11 @@ Tensor col2im_batch(const Tensor& columns, Index batch_size,
   Tensor batch({batch_size, g.in_channels, g.in_h, g.in_w});
   const Index cols_per_row = batch_size * plane;
   const Index image_stride = g.in_channels * g.in_h * g.in_w;
-  for (Index i = 0; i < batch_size; ++i) {
-    col2im_image(columns.data() + i * plane, cols_per_row,
-                 batch.data() + i * image_stride, g);
-  }
+  const float* src = columns.data();
+  float* dst = batch.data();
+  parallel_for_samples(batch_size, [&](Index i) {
+    col2im_image(src + i * plane, cols_per_row, dst + i * image_stride, g);
+  });
   return batch;
 }
 

@@ -5,9 +5,27 @@
 // so layer-plumbing bugs surface at the call site.
 #pragma once
 
+#include <functional>
+
 #include "tensor/tensor.h"
 
 namespace con::tensor {
+
+// ---- parallel stages -------------------------------------------------------
+// The two splits the per-sample and elementwise stages of the conv/pool
+// stack run through util::parallel_for. Both depend on the sizes alone,
+// never on the thread count, and a body writes only what its index owns,
+// so every such stage is byte-identical for any --threads (DESIGN.md §5).
+
+// Elements per piece of an elementwise stage (ReLU, fake-quantisation).
+inline constexpr Index kElementwiseChunk = Index{1} << 14;
+
+// fn(i) for every sample i in [0, n).
+void parallel_for_samples(Index n, const std::function<void(Index)>& fn);
+// fn(lo, hi) for every kElementwiseChunk piece [lo, hi) of [0, n); a
+// range of at most one piece runs inline.
+void parallel_for_chunks(Index n,
+                         const std::function<void(Index, Index)>& fn);
 
 // ---- elementwise ----------------------------------------------------------
 [[nodiscard]] Tensor add(const Tensor& a, const Tensor& b);
@@ -33,7 +51,8 @@ void add_scaled_into(Tensor& dst, const Tensor& a, const Tensor& b, float s);
 [[nodiscard]] Tensor clamp(const Tensor& a, float lo, float hi);
 void clamp_inplace(Tensor& a, float lo, float hi);
 
-// Elementwise max(a, 0); relu(-0) == +0 on every kernel ISA.
+// Elementwise max(a, 0); relu(-0) == +0 on every kernel ISA. relu and
+// relu_backward_inplace run over parallel_for_chunks.
 [[nodiscard]] Tensor relu(const Tensor& a);
 void relu_inplace(Tensor& a);
 // grad[i] = 0 wherever input[i] <= 0 (the ReLU adjoint).
@@ -80,8 +99,14 @@ struct Conv2dGeometry {
   Index kernel_w = 0;
   Index stride = 1;
   Index padding = 0;
-  Index out_h() const { return (in_h + 2 * padding - kernel_h) / stride + 1; }
-  Index out_w() const { return (in_w + 2 * padding - kernel_w) / stride + 1; }
+  // Output positions per axis; 0 when the padded input is smaller than
+  // the kernel, where (x - k) / s + 1 would truncate toward zero to 1.
+  Index out_h() const { return out_extent(in_h, kernel_h); }
+  Index out_w() const { return out_extent(in_w, kernel_w); }
+  Index out_extent(Index in, Index kernel) const {
+    const Index span = in + 2 * padding - kernel;
+    return span < 0 ? 0 : span / stride + 1;
+  }
 };
 
 // Extract patches of a single image [C,H,W] into [C*kh*kw, out_h*out_w].
@@ -93,9 +118,14 @@ struct Conv2dGeometry {
 // layer is a single GEMM instead of N small ones. Sample i occupies the
 // contiguous column block [i*out_h*out_w, (i+1)*out_h*out_w); within a
 // block the layout matches im2col, so per-column results are bit-identical
-// to the per-sample path.
+// to the per-sample path. Both run over parallel_for_samples.
 // [N,C,H,W] -> [C*kh*kw, N*out_h*out_w].
 [[nodiscard]] Tensor im2col_batch(const Tensor& batch, const Conv2dGeometry& g);
+// The same into `cols`, whose storage is reused as is when it already has
+// the output shape (Tensor::ensure_shape): a layer that lowers same-shaped
+// batches call after call neither reallocates nor zero-fills it.
+void im2col_batch_into(const Tensor& batch, const Conv2dGeometry& g,
+                       Tensor& cols);
 // [C*kh*kw, N*out_h*out_w] -> [N,C,H,W] (scatter-add).
 [[nodiscard]] Tensor col2im_batch(const Tensor& columns, Index batch_size,
                     const Conv2dGeometry& g);

@@ -96,6 +96,12 @@ void Tensor::resize(Shape new_shape) {
   data_.assign(n, 0.0f);
 }
 
+void Tensor::ensure_shape(const Shape& new_shape) {
+  // A default tensor has rank 0 but no element, hence the numel test.
+  if (shape_ == new_shape && numel() == new_shape.numel()) return;
+  resize(new_shape);
+}
+
 void Tensor::shrink_rows(Index new_rows) {
   if (rank() < 1) throw std::invalid_argument("shrink_rows: rank 0");
   if (new_rows < 0 || new_rows > dim(0)) {

@@ -89,6 +89,11 @@ class Tensor {
   // live batches without churning the allocator.
   void resize(Shape new_shape);
 
+  // Give this tensor `new_shape` for a caller that overwrites every
+  // element: storage and contents stay as they are when the shape already
+  // matches, otherwise this is resize().
+  void ensure_shape(const Shape& new_shape);
+
   // Shrink the batch (leading) dimension to `new_rows`, preserving the
   // leading rows' contents and the storage. Never reallocates.
   void shrink_rows(Index new_rows);

@@ -126,7 +126,7 @@ struct ParallelJob {
   // May reference the caller's function object: any drain that reaches it
   // claimed work first, and the caller only returns once every item is
   // accounted for, so the referenced object is still alive.
-  std::function<void(std::size_t)> fn;
+  std::function<void(std::size_t, std::size_t)> fn;
   std::size_t end = 0;
   std::size_t chunk = 1;
   std::atomic<std::size_t> next{0};
@@ -155,7 +155,7 @@ void job_drain(ParallelJob& job) {
     if (lo >= job.end) return;
     const std::size_t hi = std::min(lo + job.chunk, job.end);
     try {
-      for (std::size_t i = lo; i < hi; ++i) job.fn(i);
+      job.fn(lo, hi);
     } catch (...) {
       {
         std::lock_guard<std::mutex> lock(job.err_mu);
@@ -175,20 +175,23 @@ void job_drain(ParallelJob& job) {
 
 }  // namespace
 
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t grain) {
+void parallel_for_ranges(
+    std::size_t begin, std::size_t end,
+    const std::function<void(std::size_t, std::size_t)>& fn,
+    std::size_t grain) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
   ThreadPool& pool = ThreadPool::global();
   if (pool.size() <= 1 || n <= grain) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
+    fn(begin, end);
     return;
   }
 
   // conlint:allow(hot-path-alloc): one shared control block per parallel region, amortised over the whole index range
   auto job = std::make_shared<ParallelJob>();
-  job->fn = [&fn, begin](std::size_t i) { fn(begin + i); };
+  job->fn = [&fn, begin](std::size_t lo, std::size_t hi) {
+    fn(begin + lo, begin + hi);
+  };
   job->end = n;
   job->chunk = std::max<std::size_t>(
       grain, (n + pool.size() * 4 - 1) / (pool.size() * 4));
@@ -209,6 +212,17 @@ void parallel_for(std::size_t begin, std::size_t end,
                       [&] { return job->remaining.load() == 0; });
   }
   if (job->error) std::rethrow_exception(job->error);
+}
+
+void parallel_for(std::size_t begin, std::size_t end,
+                  const std::function<void(std::size_t)>& fn,
+                  std::size_t grain) {
+  parallel_for_ranges(
+      begin, end,
+      [&fn](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) fn(i);
+      },
+      grain);
 }
 
 }  // namespace con::util

@@ -70,8 +70,22 @@ class ThreadPool {
 // If any invocation throws, the remaining range is cancelled, every
 // in-flight invocation finishes, and the first exception (by claim order)
 // is rethrown on the calling thread. The pool survives.
+//
+// `grain` is the fewest indices a claim takes: a range of at most `grain`
+// indices runs inline on the caller as one claim, so a region whose work
+// is too small to pay for waking a pool thread costs nothing extra.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn,
                   std::size_t grain = 1);
+
+// The range form of parallel_for: `fn(lo, hi)` runs once per claimed
+// piece [lo, hi), so a body can share per-claim work (a cache-resident
+// operand block) across neighbouring indices. How the range is cut into
+// claims depends on the pool size; for a thread-count-independent result
+// each index's output must not depend on which piece it arrived in.
+void parallel_for_ranges(
+    std::size_t begin, std::size_t end,
+    const std::function<void(std::size_t, std::size_t)>& fn,
+    std::size_t grain = 1);
 
 }  // namespace con::util

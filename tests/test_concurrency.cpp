@@ -16,7 +16,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -24,11 +27,17 @@
 
 #include "attacks/attack.h"
 #include "attacks/gradient.h"
+#include "compress/fixed_point.h"
 #include "core/transfer.h"
 #include "core/sweeps.h"
 #include "data/synth_digits.h"
 #include "models/model_zoo.h"
+#include "nn/activations.h"
+#include "nn/conv2d.h"
+#include "nn/pooling.h"
 #include "nn/trainer.h"
+#include "tensor/gemm.h"
+#include "tensor/kernels/dispatch.h"
 #include "tensor/ops.h"
 #include "test_helpers.h"
 #include "util/threadpool.h"
@@ -212,6 +221,211 @@ TEST(ConcurrencyStoreTest, StoredSweepMatchesSerialEvaluationCellForCell) {
     EXPECT_DOUBLE_EQ(parallel[i].comp_to_full, serial.comp_to_full);
   }
   std::filesystem::remove_all(cfg.store_dir);
+}
+
+// Bit-for-bit comparison: NaN payloads and signed zeros count, which
+// float == would blur.
+void expect_same_bits(const Tensor& got, const Tensor& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (Index i = 0; i < got.numel(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << what << " at " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+// Values in [-1, 1), deterministic per seed.
+Tensor signed_batch(const tensor::Shape& shape, std::uint64_t seed) {
+  Tensor t = testing::random_batch(shape, seed);
+  for (float& v : t.flat()) v = 2.0f * v - 1.0f;
+  return t;
+}
+
+// Columns [i*plane, (i+1)*plane) of a [rows, n*plane] matrix.
+Tensor column_block(const Tensor& m, Index i, Index plane) {
+  const Index rows = m.dim(0), ld = m.dim(1);
+  Tensor out({rows, plane});
+  for (Index r = 0; r < rows; ++r) {
+    for (Index p = 0; p < plane; ++p) {
+      out.at({r, p}) = m[r * ld + i * plane + p];
+    }
+  }
+  return out;
+}
+
+TEST(Concurrency, ConvPoolStepBitwiseEqualsSerialReference) {
+  // One training step's conv/pool stack on the 4-thread pool against a
+  // serial reference built here, image by image, from im2col/col2im and
+  // the scalar GEMM oracles; the weight and bias gradients reduce over the
+  // whole batch in one chain, as the layer's one NT product does. Sizes
+  // cover a plane that is not a multiple of the 8-column strip (14x14),
+  // more than one 16 Ki elementwise chunk (32x32 at batch 32), padding and
+  // stride, and a pool window that holds only -inf and NaN.
+  const float ninf = -std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const tensor::kernels::KernelTable& kt = tensor::kernels::active();
+  for (Index n : {Index{1}, Index{3}, Index{32}}) {
+    for (Index hw : {Index{14}, Index{32}}) {
+      for (Index padding : {Index{0}, Index{1}}) {
+        for (Index stride : {Index{1}, Index{2}}) {
+          const std::string what =
+              "n=" + std::to_string(n) + " hw=" + std::to_string(hw) +
+              " pad=" + std::to_string(padding) +
+              " stride=" + std::to_string(stride);
+          util::Rng rng(static_cast<std::uint64_t>(n * 100 + hw));
+          const nn::Conv2dSpec spec{.in_channels = 3, .out_channels = 5,
+                                    .kernel = 3, .stride = stride,
+                                    .padding = padding};
+          nn::Conv2d conv(spec, rng);
+          conv.bias().value = signed_batch(tensor::Shape{5}, 11);
+          const Tensor w = conv.weight().value;
+          const Tensor& b = conv.bias().value;
+          const Tensor x = signed_batch(tensor::Shape{n, 3, hw, hw}, 12);
+
+          // Conv2d forward.
+          nn::TapeSlot cslot;
+          const Tensor y = conv.forward(x, /*train=*/true, cslot);
+          const tensor::Conv2dGeometry g = cslot.geom;
+          const Index oh = g.out_h(), ow = g.out_w(), plane = oh * ow;
+          const Index ckk = 3 * 3 * 3;
+          Tensor cols_all({ckk, n * plane});
+          Tensor want_y({n, 5, oh, ow});
+          for (Index i = 0; i < n; ++i) {
+            const Tensor cols = tensor::im2col(tensor::slice_batch(x, i), g);
+            for (Index r = 0; r < ckk; ++r) {
+              for (Index p = 0; p < plane; ++p) {
+                cols_all[r * n * plane + i * plane + p] = cols[r * plane + p];
+              }
+            }
+            const Tensor out = tensor::gemm::reference_nn(w, cols);
+            for (Index c = 0; c < 5; ++c) {
+              for (Index p = 0; p < plane; ++p) {
+                want_y[(i * 5 + c) * plane + p] = out[c * plane + p] + b[c];
+              }
+            }
+          }
+          expect_same_bits(y, want_y, "conv forward " + what);
+
+          // ReLU forward, against one whole-buffer kernel call.
+          const nn::ReLU relu;
+          nn::TapeSlot rslot;
+          Tensor r = relu.forward(y, true, rslot);
+          Tensor want_r(y.shape());
+          kt.relu(want_r.data(), y.data(), y.numel());
+          expect_same_bits(r, want_r, "relu forward " + what);
+
+          // MaxPool2d forward, with the last image's first window poisoned.
+          const Index last = (n - 1) * 5 * plane;
+          r[last] = ninf;
+          r[last + 1] = nan;
+          r[last + ow] = nan;
+          r[last + ow + 1] = ninf;
+          const nn::MaxPool2d pool(2, 2);
+          nn::TapeSlot pslot;
+          const Tensor py = pool.forward(r, true, pslot);
+          const Index ph = (oh - 2) / 2 + 1, pw = (ow - 2) / 2 + 1;
+          Tensor want_py({n, 5, ph, pw});
+          std::vector<Index> argmax;
+          for (Index pl = 0; pl < n * 5; ++pl) {
+            for (Index u = 0; u < ph; ++u) {
+              for (Index v = 0; v < pw; ++v) {
+                float best = ninf;
+                Index at = pl * plane + 2 * u * ow + 2 * v;
+                for (Index dy = 0; dy < 2; ++dy) {
+                  for (Index dx = 0; dx < 2; ++dx) {
+                    const Index k =
+                        pl * plane + (2 * u + dy) * ow + 2 * v + dx;
+                    if (r[k] > best) {
+                      best = r[k];
+                      at = k;
+                    }
+                  }
+                }
+                want_py[(pl * ph + u) * pw + v] = best;
+                argmax.push_back(at);
+              }
+            }
+          }
+          expect_same_bits(py, want_py, "pool forward " + what);
+
+          // MaxPool2d backward.
+          const Tensor gpy = signed_batch(py.shape(), 13);
+          const Tensor gr = pool.backward(gpy, pslot);
+          Tensor want_gr(r.shape());
+          for (std::size_t o = 0; o < argmax.size(); ++o) {
+            want_gr[argmax[o]] += gpy[static_cast<Index>(o)];
+          }
+          expect_same_bits(gr, want_gr, "pool backward " + what);
+
+          // ReLU backward.
+          const Tensor gy = relu.backward(gr, rslot);
+          Tensor want_gy = gr;
+          kt.relu_bwd(want_gy.data(), y.data(), y.numel());
+          expect_same_bits(gy, want_gy, "relu backward " + what);
+
+          // Conv2d backward: ∇x image by image, ∇W and ∇b over the batch.
+          Tensor go_all({5, n * plane});
+          for (Index i = 0; i < n; ++i) {
+            for (Index c = 0; c < 5; ++c) {
+              for (Index p = 0; p < plane; ++p) {
+                go_all[c * n * plane + i * plane + p] =
+                    gy[(i * 5 + c) * plane + p];
+              }
+            }
+          }
+          Tensor want_dx(x.shape());
+          for (Index i = 0; i < n; ++i) {
+            const Tensor dcols = tensor::gemm::reference_tn(
+                w, column_block(go_all, i, plane));
+            tensor::set_batch(want_dx, i, tensor::col2im(dcols, g));
+          }
+          Tensor want_dw(w.shape());
+          tensor::add_inplace(want_dw,
+                              tensor::gemm::reference_nt(go_all, cols_all));
+          Tensor want_db(b.shape());
+          for (Index c = 0; c < 5; ++c) {
+            double acc = 0.0;
+            for (Index p = 0; p < n * plane; ++p) {
+              acc += go_all[c * n * plane + p];
+            }
+            want_db[c] += static_cast<float>(acc);
+          }
+          conv.weight().grad.zero();
+          conv.bias().grad.zero();
+          const Tensor dx = conv.backward(gy, cslot);
+          expect_same_bits(dx, want_dx, "conv backward dx " + what);
+          expect_same_bits(conv.weight().grad, want_dw, "conv dW " + what);
+          expect_same_bits(conv.bias().grad, want_db, "conv db " + what);
+          conv.weight().grad.zero();
+          conv.bias().grad.zero();
+          conv.backward_params(gy, cslot);
+          expect_same_bits(conv.weight().grad, want_dw,
+                           "conv backward_params dW " + what);
+          expect_same_bits(conv.bias().grad, want_db,
+                           "conv backward_params db " + what);
+
+          // Fake-quantisation over the conv output, with non-finite
+          // values, against one whole-buffer kernel call.
+          Tensor q_in = y;
+          q_in[0] = nan;
+          q_in[q_in.numel() - 1] = ninf;
+          const compress::FixedPointFormat fmt =
+              compress::FixedPointFormat::paper_format(8);
+          Tensor q(q_in.shape()), gate(q_in.shape());
+          compress::fake_quantize(fmt, q_in.data(), q.data(), gate.data(),
+                                  q_in.numel());
+          Tensor want_q(q_in.shape()), want_gate(q_in.shape());
+          kt.fake_quant(want_q.data(), want_gate.data(), q_in.data(),
+                        fmt.inv_step(), fmt.step(), fmt.lo(), fmt.hi(),
+                        q_in.numel());
+          expect_same_bits(q, want_q, "fake_quantize " + what);
+          expect_same_bits(gate, want_gate, "fake_quantize gate " + what);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
 }
 
 // conlint:lockfree(per-index atomic slots; the parallel_for join orders every bump before the assertions)

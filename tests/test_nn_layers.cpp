@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <stdexcept>
+#include <string>
 
 #include "models/model_zoo.h"
 #include "nn/activations.h"
@@ -71,6 +73,46 @@ TEST(Conv2d, KnownAveragingKernel) {
   Tensor y = conv.forward(x, false, slot);
   ASSERT_EQ(y.shape(), Shape({1, 1, 1, 1}));
   EXPECT_FLOAT_EQ(y[0], 2.5f);
+}
+
+TEST(Conv2d, RejectsInputSmallerThanKernel) {
+  // (1 - 3) / 3 + 1 truncates to 1, so without the check a 1x1 input to a
+  // 3x3 stride-3 kernel would claim one output position.
+  util::Rng rng(2);
+  Conv2d conv(Conv2dSpec{.in_channels = 1, .out_channels = 2, .kernel = 3,
+                         .stride = 3},
+              rng, "conv7");
+  TapeSlot slot;
+  try {
+    (void)conv.forward(Tensor({1, 1, 1, 1}), false, slot);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("conv7"), std::string::npos)
+        << e.what();
+  }
+  // Padding that brings the input up to the kernel is fine.
+  Conv2d padded(Conv2dSpec{.in_channels = 1, .out_channels = 2, .kernel = 3,
+                           .stride = 3, .padding = 1},
+                rng);
+  EXPECT_EQ(padded.forward(Tensor({1, 1, 1, 1}), false, slot).shape(),
+            Shape({1, 2, 1, 1}));
+}
+
+TEST(MaxPool2d, RejectsInputSmallerThanWindow) {
+  // (1 - 2) / 2 + 1 truncates to 1: without the check the forward would
+  // read a 2x2 window out of a one-element buffer.
+  MaxPool2d pool(2, 2, "pool7");
+  TapeSlot slot;
+  for (const Shape& shape : {Shape{1, 1, 1, 1}, Shape{1, 1, 1, 4},
+                             Shape{2, 3, 4, 1}}) {
+    try {
+      (void)pool.forward(Tensor(shape), false, slot);
+      FAIL() << "expected std::invalid_argument for " << shape.to_string();
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("pool7"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(MaxPool2d, ForwardSelectsWindowMax) {
